@@ -36,6 +36,9 @@ impl Network for SerialNet {
     fn clock(&self) -> Arc<dyn Clock> {
         self.0.clock()
     }
+    fn obs(&self) -> Arc<kosha_obs::Obs> {
+        self.0.obs()
+    }
     fn is_up(&self, addr: NodeAddr) -> bool {
         self.0.is_up(addr)
     }

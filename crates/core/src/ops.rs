@@ -833,7 +833,7 @@ impl RpcHandler for VirtualFs {
     fn handle(&self, _from: NodeAddr, body: &[u8]) -> Result<RpcResponse, RpcError> {
         let req = NfsRequest::decode(body)?;
         let k = &self.0;
-        let proc = req.proc_name();
+        let proc = req.name();
         let clock = k.net.clock();
         // Server span for the koshad loopback op. Requests arriving with
         // a caller trace always record a child span; untraced requests

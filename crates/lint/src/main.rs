@@ -76,7 +76,9 @@ fn main() -> ExitCode {
                     return ExitCode::SUCCESS;
                 }
                 None => {
-                    eprintln!("kosha-lint: --explain needs a rule id (L001..L008)");
+                    eprintln!(
+                        "kosha-lint: --explain needs a rule id (L001-L003, L005, L007, L008)"
+                    );
                     return ExitCode::from(2);
                 }
             },

@@ -56,25 +56,8 @@ impl Default for CacheConfig {
     }
 }
 
-/// Cache effectiveness counters.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    /// GETATTRs answered from cache.
-    pub attr_hits: AtomicU64,
-    /// GETATTRs that went to the server.
-    pub attr_misses: AtomicU64,
-    /// LOOKUPs answered from the dentry cache (positive or negative).
-    pub dentry_hits: AtomicU64,
-    /// LOOKUPs that went to the server.
-    pub dentry_misses: AtomicU64,
-    /// Reads served from the data cache.
-    pub data_hits: AtomicU64,
-    /// Reads that fetched from the server.
-    pub data_misses: AtomicU64,
-}
-
-/// Registry-backed mirrors of [`CacheStats`], named
-/// `nfs_cache_hits_total{cache=...}` / `nfs_cache_misses_total{cache=...}`.
+/// Hit/miss counters, named `nfs_cache_hits_total{cache=...}` /
+/// `nfs_cache_misses_total{cache=...}` in the transport's registry.
 struct CacheMetrics {
     attr_hits: Arc<Counter>,
     attr_misses: Arc<Counter>,
@@ -95,22 +78,6 @@ impl CacheMetrics {
             data_hits: c("nfs_cache_hits_total{cache=\"data\"}"),
             data_misses: c("nfs_cache_misses_total{cache=\"data\"}"),
         }
-    }
-}
-
-impl CacheStats {
-    /// `(attr_hits, attr_misses, dentry_hits, dentry_misses, data_hits,
-    /// data_misses)`.
-    #[must_use]
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64) {
-        (
-            self.attr_hits.load(Ordering::Relaxed),
-            self.attr_misses.load(Ordering::Relaxed),
-            self.dentry_hits.load(Ordering::Relaxed),
-            self.dentry_misses.load(Ordering::Relaxed),
-            self.data_hits.load(Ordering::Relaxed),
-            self.data_misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -154,18 +121,19 @@ pub struct CachingClient {
     // lint: allow(L008) client cache: capacity-evicted (oldest-first) on insert and dropped wholesale by clear()
     data: Mutex<HashMap<Fh, DataEntry>>,
     data_bytes: AtomicU64,
-    stats: CacheStats,
-    metrics: Option<CacheMetrics>,
+    metrics: CacheMetrics,
 }
 
 impl CachingClient {
-    /// Wraps `inner` (bound to `server`) with caches driven by `clock`.
+    /// Wraps `inner` (bound to `server`) with caches driven by `clock`,
+    /// counting hits and misses into the registry of `inner`'s transport.
     pub fn new(
         inner: NfsClient,
         server: NodeAddr,
         clock: Arc<dyn Clock>,
         cfg: CacheConfig,
     ) -> Self {
+        let metrics = CacheMetrics::new(&inner.transport().obs());
         CachingClient {
             inner,
             server,
@@ -175,31 +143,7 @@ impl CachingClient {
             dentries: Mutex::new(HashMap::new()),
             data: Mutex::new(HashMap::new()),
             data_bytes: AtomicU64::new(0),
-            stats: CacheStats::default(),
-            metrics: None,
-        }
-    }
-
-    /// Mirrors hit/miss counters into `obs` as
-    /// `nfs_cache_{hits,misses}_total{cache=...}`. Chainable after
-    /// [`CachingClient::new`].
-    #[must_use]
-    pub fn observed(mut self, obs: &Obs) -> Self {
-        self.metrics = Some(CacheMetrics::new(obs));
-        self
-    }
-
-    /// Cache counters.
-    #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Bumps a local stat and, when observed, its registry mirror.
-    fn tally(&self, stat: &AtomicU64, mirror: fn(&CacheMetrics) -> &Counter) {
-        stat.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            mirror(m).inc();
+            metrics,
         }
     }
 
@@ -258,11 +202,11 @@ impl CachingClient {
     pub fn getattr(&self, fh: Fh) -> NfsResult<Attr> {
         if let Some(e) = self.attrs.lock().get(&fh) {
             if self.fresh(e.fetched) {
-                self.tally(&self.stats.attr_hits, |m| &m.attr_hits);
+                self.metrics.attr_hits.inc();
                 return Ok(e.attr.clone());
             }
         }
-        self.tally(&self.stats.attr_misses, |m| &m.attr_misses);
+        self.metrics.attr_misses.inc();
         let attr = self.inner.getattr(self.server, fh)?;
         self.remember_attr(fh, &attr);
         Ok(attr)
@@ -285,13 +229,13 @@ impl CachingClient {
             })
         };
         if let Some(hit) = cached {
-            self.tally(&self.stats.dentry_hits, |m| &m.dentry_hits);
+            self.metrics.dentry_hits.inc();
             return match hit {
                 Some(fh) => Ok((fh, self.getattr(fh)?)),
                 None => Err(NfsError::Status(NfsStatus::NoEnt)),
             };
         }
-        self.tally(&self.stats.dentry_misses, |m| &m.dentry_misses);
+        self.metrics.dentry_misses.inc();
         match self.inner.lookup(self.server, dir, name) {
             Ok((fh, attr)) => {
                 self.remember_attr(fh, &attr);
@@ -332,12 +276,12 @@ impl CachingClient {
             if let Some(e) = data.get_mut(&fh) {
                 if e.mtime == attr.mtime {
                     e.last_used = self.clock.now();
-                    self.tally(&self.stats.data_hits, |m| &m.data_hits);
+                    self.metrics.data_hits.inc();
                     return Ok(e.data.clone());
                 }
             }
         }
-        self.tally(&self.stats.data_misses, |m| &m.data_misses);
+        self.metrics.data_misses.inc();
         let mut out = Vec::with_capacity(attr.size as usize);
         let mut off = 0u64;
         loop {
@@ -492,6 +436,14 @@ mod tests {
     const SERVER: NodeAddr = NodeAddr(1);
     const CLIENT: NodeAddr = NodeAddr(2);
 
+    /// `nfs_cache_{kind}_total{cache="{cache}"}` from the transport registry.
+    fn count(net: &SimNetwork, kind: &str, cache: &str) -> u64 {
+        net.obs()
+            .registry
+            .counter(&format!("nfs_cache_{kind}_total{{cache=\"{cache}\"}}"))
+            .get()
+    }
+
     fn setup(ttl: Duration) -> (Arc<SimNetwork>, CachingClient) {
         let net = SimNetwork::new(LatencyModel::zero());
         let server = NfsServer::new(Vfs::new(1 << 24), net.clock(), DiskModel::zero());
@@ -520,28 +472,23 @@ mod tests {
         cc.getattr(fh).unwrap();
         cc.getattr(fh).unwrap();
         cc.getattr(fh).unwrap();
-        let (hits, misses, ..) = cc.stats().snapshot();
+        let hits = count(&net, "hits", "attr");
         assert!(hits >= 3, "hits {hits}"); // create primed the cache
-        assert_eq!(misses, 0);
+        assert_eq!(count(&net, "misses", "attr"), 0);
         // Advance past the TTL: next getattr goes to the server.
         net.virtual_clock().advance(Duration::from_secs(4));
         cc.getattr(fh).unwrap();
-        let (_, misses, ..) = cc.stats().snapshot();
-        assert_eq!(misses, 1);
+        assert_eq!(count(&net, "misses", "attr"), 1);
     }
 
     #[test]
     fn dentry_cache_covers_negative_lookups() {
-        let (_net, cc) = setup(Duration::from_secs(3));
+        let (net, cc) = setup(Duration::from_secs(3));
         let root = cc.mount().unwrap();
         assert!(cc.lookup(root, "ghost").is_err());
         assert!(cc.lookup(root, "ghost").is_err());
-        let (.., dhits, dmisses, _, _) = {
-            let s = cc.stats().snapshot();
-            ((), (), s.2, s.3, s.4, s.5)
-        };
-        assert_eq!(dmisses, 1);
-        assert_eq!(dhits, 1);
+        assert_eq!(count(&net, "misses", "dentry"), 1);
+        assert_eq!(count(&net, "hits", "dentry"), 1);
     }
 
     #[test]
@@ -552,9 +499,11 @@ mod tests {
         cc.write(fh, 0, b"version one").unwrap();
         assert_eq!(cc.read_file(fh).unwrap(), b"version one");
         assert_eq!(cc.read_file(fh).unwrap(), b"version one");
-        let s = cc.stats().snapshot();
-        assert_eq!(s.5, 1, "one data miss");
-        assert!(s.4 >= 1, "subsequent read hit the cache");
+        assert_eq!(count(&net, "misses", "data"), 1, "one data miss");
+        assert!(
+            count(&net, "hits", "data") >= 1,
+            "subsequent read hit the cache"
+        );
 
         // Another client writes behind our back. Advance the clock first
         // so the server's mtime actually differs — the same blind spot

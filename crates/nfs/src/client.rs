@@ -21,7 +21,7 @@ struct ProcMetrics {
 impl ProcMetrics {
     fn new(obs: &Obs) -> Self {
         ProcMetrics {
-            latency: NfsRequest::PROC_NAMES
+            latency: NfsRequest::NAMES
                 .iter()
                 .map(|p| {
                     let name = format!("nfs_client_latency_nanos{{proc=\"{p}\"}}");
@@ -90,6 +90,12 @@ impl NfsClient {
         self
     }
 
+    /// The transport RPCs travel over.
+    #[must_use]
+    pub(crate) fn transport(&self) -> &Arc<dyn Network> {
+        &self.net
+    }
+
     /// The address RPCs are issued from.
     #[must_use]
     pub fn from_addr(&self) -> NodeAddr {
@@ -102,7 +108,7 @@ impl NfsClient {
             Some(obs) => {
                 let clock = self.net.clock();
                 obs.tracer.child(
-                    || format!("nfsc:{}", req.proc_name()),
+                    || format!("nfsc:{}", req.name()),
                     self.from.0,
                     || clock.now().0,
                     || self.call_inner(to, req),
@@ -119,7 +125,7 @@ impl NfsClient {
                 let clock = self.net.clock();
                 let t0 = clock.now();
                 let result = self.net.call(self.from, to, rpc);
-                m.latency[req.proc_index()].record(clock.now().since_nanos(t0));
+                m.latency[req.index()].record(clock.now().since_nanos(t0));
                 if result.is_err() {
                     m.errors.inc();
                 }

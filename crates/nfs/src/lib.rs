@@ -27,7 +27,7 @@ pub mod client;
 pub mod messages;
 pub mod server;
 
-pub use cache::{CacheConfig, CacheStats, CachingClient};
+pub use cache::{CacheConfig, CachingClient};
 pub use client::NfsClient;
 pub use messages::{
     Fh, NfsError, NfsReply, NfsRequest, NfsResult, NfsStatus, WireAttr, WirePathNode,

@@ -54,7 +54,7 @@ pub struct NfsServer {
     clock: Arc<dyn Clock>,
     disk: DiskModel,
     /// Per-procedure op counters (`nfs_server_ops_total{proc=...}`),
-    /// indexed by [`NfsRequest::proc_index`]. Empty when unobserved.
+    /// indexed by [`NfsRequest::index`]. Empty when unobserved.
     ops: Vec<Arc<Counter>>,
     /// When observed, server spans (`nfs:{proc}`) are recorded here,
     /// attributed to `addr`.
@@ -86,7 +86,7 @@ impl NfsServer {
         obs: &Arc<Obs>,
         addr: NodeAddr,
     ) -> Arc<Self> {
-        let ops: Vec<_> = NfsRequest::PROC_NAMES
+        let ops: Vec<_> = NfsRequest::NAMES
             .iter()
             .map(|p| {
                 let name = format!("nfs_server_ops_total{{proc=\"{p}\"}}");
@@ -126,7 +126,7 @@ impl NfsServer {
         match &self.obs {
             None => self.execute_inner(req),
             Some(obs) => {
-                let proc = req.proc_name();
+                let proc = req.name();
                 obs.tracer.child(
                     || format!("nfs:{proc}"),
                     self.addr.0,
@@ -138,7 +138,7 @@ impl NfsServer {
     }
 
     fn execute_inner(&self, req: NfsRequest) -> NfsReplyFrame {
-        if let Some(c) = self.ops.get(req.proc_index()) {
+        if let Some(c) = self.ops.get(req.index()) {
             c.inc();
         }
         let mut vfs = self.vfs.lock();

@@ -44,7 +44,6 @@ use crate::sched::Scheduler;
 use kosha_obs::{trace, Obs};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -116,40 +115,6 @@ impl LatencyModel {
     }
 }
 
-/// Aggregate traffic counters, exposed for experiments and ablations.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    /// Total RPCs attempted (including those that failed).
-    pub calls: AtomicU64,
-    /// RPCs that were node-local (loopback).
-    pub local_calls: AtomicU64,
-    /// RPCs to dead nodes (charged the timeout).
-    pub failed_calls: AtomicU64,
-    /// Total bytes across the wire (requests + responses, remote only).
-    pub bytes: AtomicU64,
-}
-
-impl NetStats {
-    /// Snapshot `(calls, local, failed, bytes)`.
-    #[must_use]
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.calls.load(Ordering::Relaxed),
-            self.local_calls.load(Ordering::Relaxed),
-            self.failed_calls.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Zeroes all counters.
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.local_calls.store(0, Ordering::Relaxed);
-        self.failed_calls.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-    }
-}
-
 struct Registered {
     mux: Arc<ServiceMux>,
 }
@@ -199,7 +164,6 @@ pub struct SimNetwork {
     down: RwLock<HashSet<NodeAddr>>,
     /// Optional coordinates per host for distance-dependent latency.
     coords: RwLock<HashMap<NodeAddr, (f64, f64)>>,
-    stats: NetStats,
     metrics: NetMetrics,
     /// The event heap driving all clock movement (see the module docs).
     sched: Scheduler<SimEvent>,
@@ -225,7 +189,6 @@ impl SimNetwork {
             nodes: RwLock::new(HashMap::new()),
             down: RwLock::new(HashSet::new()),
             coords: RwLock::new(HashMap::new()),
-            stats: NetStats::default(),
             metrics,
             sched,
             pumps: Mutex::new(Vec::new()),
@@ -295,12 +258,6 @@ impl SimNetwork {
             }
             _ => self.model.hop_latency,
         }
-    }
-
-    /// Traffic counters.
-    #[must_use]
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
     }
 
     /// Transport-level observability: per-service call/byte counters and
@@ -484,7 +441,6 @@ impl SimNetwork {
         to: NodeAddr,
         req: RpcRequest,
     ) -> Result<RpcResponse, RpcError> {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
         let svc = self.metrics.svc(req.service);
         svc.calls.inc();
         let _inflight = crate::metrics::InflightGuard::enter(&svc.inflight);
@@ -498,7 +454,6 @@ impl SimNetwork {
         };
 
         let Some(mux) = mux else {
-            self.stats.failed_calls.fetch_add(1, Ordering::Relaxed);
             self.step(self.model.timeout);
             svc.failed.inc();
             let elapsed = self.clock.now().since_nanos(start);
@@ -510,7 +465,6 @@ impl SimNetwork {
         };
 
         if from == to {
-            self.stats.local_calls.fetch_add(1, Ordering::Relaxed);
             svc.local.inc();
             self.step(self.model.loopback_cost);
             let result =
@@ -542,9 +496,6 @@ impl SimNetwork {
             Err(_) => 16,
         };
         self.step(link + self.model.transfer_time(resp_bytes));
-        self.stats
-            .bytes
-            .fetch_add((req_bytes + resp_bytes) as u64, Ordering::Relaxed);
         svc.bytes.add((req_bytes + resp_bytes) as u64);
         if result.is_err() {
             svc.failed.inc();
@@ -577,9 +528,9 @@ impl Network for SimNetwork {
         // full modeled round trip) and stamp the child context into the
         // wire header. With no active trace this records nothing and
         // leaves the frame in the legacy layout.
-        let span_name = req.service.rpc_span_name();
+        let service = req.service;
         self.metrics.tracer().child_with(
-            || span_name.to_string(),
+            || service.rpc_span_name(),
             from.0,
             || self.clock.now().0,
             |ctx| {
@@ -628,6 +579,10 @@ impl Network for SimNetwork {
 
     fn clock(&self) -> Arc<dyn Clock> {
         Arc::clone(&self.clock) as Arc<dyn Clock>
+    }
+
+    fn obs(&self) -> Arc<Obs> {
+        SimNetwork::obs(self)
     }
 
     fn is_up(&self, addr: NodeAddr) -> bool {
@@ -715,9 +670,21 @@ mod tests {
         let t = net.clock().now();
         // At least two hop latencies + server cost must have elapsed.
         assert!(t.as_duration() >= Duration::from_micros(2 * 150 + 60));
-        let (calls, local, failed, bytes) = net.stats().snapshot();
-        assert_eq!((calls, local, failed), (1, 0, 0));
-        assert!(bytes > 0);
+        let registry = &net.obs().registry;
+        let count = |name: &str| {
+            registry
+                .counter(&format!("{name}{{service=\"nfs\"}}"))
+                .get()
+        };
+        assert_eq!(
+            (
+                count("rpc_calls_total"),
+                count("rpc_local_calls_total"),
+                count("rpc_failed_calls_total")
+            ),
+            (1, 0, 0)
+        );
+        assert!(count("rpc_bytes_total") > 0);
     }
 
     #[test]

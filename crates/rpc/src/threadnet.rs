@@ -601,9 +601,9 @@ impl Network for ThreadedNetwork {
             from,
             "ThreadedNetwork::call",
         );
-        let span_name = req.service.rpc_span_name();
+        let service = req.service;
         self.metrics.tracer().child_with(
-            || span_name.to_string(),
+            || service.rpc_span_name(),
             from.0,
             || self.clock.now().0,
             |ctx| {
@@ -663,16 +663,16 @@ impl Network for ThreadedNetwork {
                 if let Some(s) = &span {
                     req.trace = Some(TraceHeader::from_ctx(s.ctx()));
                 }
-                let name = req.service.rpc_span_name();
-                (span, name, self.call_async(from, to, req))
+                let service = req.service;
+                (span, service, self.call_async(from, to, req))
             })
             .collect();
         issued
             .into_iter()
-            .map(|(span, name, completion)| {
+            .map(|(span, service, completion)| {
                 let result = completion.wait();
                 if let Some(s) = span {
-                    tracer.close(s, name, self.clock.now().0);
+                    tracer.close(s, service.rpc_span_name(), self.clock.now().0);
                 }
                 result
             })
@@ -681,6 +681,10 @@ impl Network for ThreadedNetwork {
 
     fn clock(&self) -> Arc<dyn Clock> {
         Arc::clone(&self.clock) as Arc<dyn Clock>
+    }
+
+    fn obs(&self) -> Arc<Obs> {
+        ThreadedNetwork::obs(self)
     }
 
     fn is_up(&self, addr: NodeAddr) -> bool {

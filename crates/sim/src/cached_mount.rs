@@ -36,7 +36,7 @@ impl CachedKoshaMount {
         Ok(CachedKoshaMount { cc, root })
     }
 
-    /// The underlying caching client (stats inspection).
+    /// The underlying caching client.
     #[must_use]
     pub fn cache(&self) -> &CachingClient {
         &self.cc
@@ -190,7 +190,12 @@ mod tests {
         m.write_file("/cachetest/sub/f", b"cached bytes").unwrap();
         assert_eq!(m.read_file("/cachetest/sub/f").unwrap(), b"cached bytes");
         assert_eq!(m.read_file("/cachetest/sub/f").unwrap(), b"cached bytes");
-        let (_, _, _, _, data_hits, _) = m.cache().stats().snapshot();
+        let data_hits = c
+            .net
+            .obs()
+            .registry
+            .counter("nfs_cache_hits_total{cache=\"data\"}")
+            .get();
         assert!(data_hits >= 1, "repeat read missed the cache");
         assert_eq!(m.stat("/cachetest/sub/f").unwrap().size, 12);
         m.remove("/cachetest/sub/f").unwrap();
