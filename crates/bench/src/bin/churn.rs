@@ -66,6 +66,10 @@ fn main() {
         "replica-slot GC left {} stale copies",
         report.final_over_replicated
     );
+    assert_eq!(
+        report.telemetry.recorder_dropped, 0,
+        "telemetry outgrew the recorder's series budget"
+    );
 
     let json = report.to_json();
     std::fs::write("BENCH_churn.json", format!("{json}\n")).expect("write BENCH_churn.json");

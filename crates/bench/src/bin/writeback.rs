@@ -155,9 +155,9 @@ fn run(mode: ReplicationMode) -> RunResult {
     let (mut enqueued, mut flushed_ops, mut coalesced_ops) = (0, 0, 0);
     for n in &c.nodes {
         let s = n.stats();
-        enqueued += s.writeback_enqueued;
-        flushed_ops += s.writeback_flushed_ops;
-        coalesced_ops += s.writeback_coalesced_ops;
+        enqueued += s.writeback_enqueued.get();
+        flushed_ops += s.writeback_flushed_ops.get();
+        coalesced_ops += s.writeback_coalesced_ops.get();
     }
     RunResult {
         p50_write_nanos: lat[WRITE_OPS / 2],

@@ -191,43 +191,7 @@ impl KoshaNode {
                 });
             }
         }
-        // A scan is also the freshest possible lag-marker census; keep
-        // the gauge in step with what we just observed.
-        let lag = out.iter().filter(|e| e.replica && e.lag_marker).count();
-        self.obs
-            .registry
-            .gauge("kosha_replica_lag_markers")
-            .set(lag as i64);
         out
-    }
-
-    /// Refreshes the `kosha_replica_lag_markers` gauge: counts the
-    /// `.kosha_lag` markers currently stamped on this node's replica
-    /// slots. Called from the node's flight-recorder sampler tick so the
-    /// gauge (and its recorder series) tracks outstanding write-behind
-    /// windows without waiting for an audit pass.
-    pub fn refresh_lag_marker_gauge(&self) -> u64 {
-        let root = format!("/{}", Area::Replica.dir_name());
-        let count = self.with_store(|v| {
-            let Ok((dir, _)) = v.resolve(&root) else {
-                return 0u64;
-            };
-            let Ok(entries) = v.readdir(dir) else {
-                return 0u64;
-            };
-            entries
-                .iter()
-                .filter(|e| {
-                    e.name.starts_with('@')
-                        && v.resolve(&format!("{root}/{}/{LAG_MARK}", e.name)).is_ok()
-                })
-                .count() as u64
-        });
-        self.obs
-            .registry
-            .gauge("kosha_replica_lag_markers")
-            .set(count as i64);
-        count
     }
 }
 
@@ -809,7 +773,7 @@ mod tests {
             .expect("holder");
         assert_eq!(holder.gc_replica_slots(), 0, "valid copy must survive");
         assert_eq!(stray.gc_replica_slots(), 1, "stale copy must be dropped");
-        assert_eq!(stray.stats().replica_gc, 1);
+        assert_eq!(stray.stats().replica_gc.get(), 1);
 
         let healed = run_audit(&net, &nodes);
         assert_eq!(healed.over_replicated, 0, "{healed:?}");
@@ -817,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn crashed_nodes_count_unreachable_and_lag_gauge_tracks_markers() {
+    fn crashed_nodes_count_unreachable_and_scan_reports_lag_markers() {
         let (net, nodes) = build_cluster(
             4,
             ReplicationMode::WriteBehind {
@@ -835,22 +799,18 @@ mod tests {
             .expect("a node hosts /gauge");
         let victim = *primary.replica_addrs().first().expect("replica target");
         let holder = nodes.iter().find(|n| n.addr() == victim).expect("holder");
-        assert!(
-            holder.refresh_lag_marker_gauge() >= 1,
-            "open window must stamp a marker"
-        );
-        assert!(
+        let lag_markers = || {
             holder
-                .obs()
-                .registry
-                .gauge("kosha_replica_lag_markers")
-                .get()
-                >= 1
-        );
+                .audit_scan()
+                .iter()
+                .filter(|e| e.replica && e.lag_marker)
+                .count()
+        };
+        assert!(lag_markers() >= 1, "open window must stamp a marker");
         for n in &nodes {
             n.flush_replication();
         }
-        assert_eq!(holder.refresh_lag_marker_gauge(), 0, "flush clears markers");
+        assert_eq!(lag_markers(), 0, "flush clears markers");
 
         net.fail_node(victim);
         let report = run_audit(&net, &nodes);

@@ -93,12 +93,6 @@ pub struct KoshaConfig {
     /// path (the default, matching the prototype) or write-behind
     /// through per-target coalescing queues (DESIGN.md §11).
     pub replication_mode: ReplicationMode,
-    /// Flight-recorder sampling interval: how often the node's sampler
-    /// hook snapshots every recorder source into its time-series. Under
-    /// `SimNetwork` the interval is nominal (each `run_pumps()` call
-    /// ticks every hook once); under `ThreadedNetwork` the pump thread
-    /// honors it in wall time.
-    pub sample_interval: Duration,
     /// Maximum extra read-only cached copies a primary may push for one
     /// hot object, beyond the K durable replicas (DESIGN.md §16). `0`
     /// disables heat-driven read scaling entirely: no hot-path heat
@@ -134,7 +128,6 @@ impl Default for KoshaConfig {
             koshad_op_cost: Duration::from_micros(350),
             trace_sampling: 0,
             replication_mode: ReplicationMode::Sync,
-            sample_interval: Duration::from_millis(50),
             hot_replicas: 0,
             hot_threshold_milli: 8_000,
             hot_lease_nanos: 2_000_000_000,
@@ -162,7 +155,6 @@ impl KoshaConfig {
             koshad_op_cost: Duration::ZERO,
             trace_sampling: 0,
             replication_mode: ReplicationMode::Sync,
-            sample_interval: Duration::from_millis(50),
             hot_replicas: 0,
             hot_threshold_milli: 8_000,
             hot_lease_nanos: 2_000_000_000,

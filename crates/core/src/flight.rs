@@ -138,18 +138,18 @@ pub fn cluster_flight(
     for node in nodes {
         let obs = node.obs();
         let stats = node.stats();
-        let enq = stats.writeback_enqueued;
-        let coal = stats.writeback_coalesced_ops;
+        let enq = stats.writeback_enqueued.get();
+        let coal = stats.writeback_coalesced_ops.get();
         let hot_copies = obs.registry.gauge("kosha_hot_copies").get();
         hot.0 += hot_copies.max(0) as u64;
-        hot.1 += stats.hot_pushes;
-        hot.2 += stats.hot_drops;
-        hot.3 += stats.hot_lease_invalidations;
+        hot.1 += stats.hot_pushes.get();
+        hot.2 += stats.hot_drops.get();
+        hot.3 += stats.hot_lease_invalidations.get();
         rows.push(NodeRow {
             addr: node.addr().0,
-            fs_ops: stats.fs_ops,
+            fs_ops: stats.fs_ops.get(),
             store_ops: store_ops(&obs),
-            replica_reads: stats.replica_reads,
+            replica_reads: stats.replica_reads.get(),
             hot_copies,
             wb_depth: obs.registry.gauge("kosha_writeback_queue_depth").get(),
             wb_coalesce_x1000: (coal * 1000).checked_div(enq).unwrap_or(0),

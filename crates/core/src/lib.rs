@@ -61,4 +61,4 @@ pub use config::{KoshaConfig, ReplicationMode};
 pub use flight::{cluster_flight, FlightOptions, FlightReport, NodeRow};
 pub use mount::KoshaMount;
 pub use node::KoshaNode;
-pub use stats::{KoshaStats, StatsSnapshot};
+pub use stats::KoshaStats;

@@ -2,7 +2,7 @@
 
 use crate::config::KoshaConfig;
 use crate::handles::{HandleTable, Location};
-use crate::stats::{KoshaStats, StatsSnapshot};
+use crate::stats::KoshaStats;
 use kosha_id::Id;
 use kosha_nfs::{DiskModel, NfsClient, NfsServer};
 use kosha_obs::Obs;
@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 /// Per-anchor memo of the last fully-acknowledged replica push: content
 /// digest and the target set it was acked by.
@@ -84,31 +85,26 @@ pub struct KoshaNode {
     _sampler: Arc<NodeSampler>,
 }
 
+/// How often a node's sampler ticks its flight recorder. Under
+/// `SimNetwork` it is the recurring timer's virtual-time period under
+/// `run_until`/`run_for` (each `run_pumps()` call ticks once regardless);
+/// under `ThreadedNetwork` the timer thread honors it in wall time.
+const SAMPLE_INTERVAL: Duration = Duration::from_millis(50);
+
 /// Per-node flight-recorder ticker. Registered as a transport pump hook:
 /// `SimNetwork` fires it through its event heap — one-shot per
 /// `run_pumps()` call, or as a recurring scheduler timer under
 /// `run_until`/`run_for` (deterministic virtual time either way) —
 /// while `ThreadedNetwork` ticks it from its shared timer thread. Each
-/// tick refreshes the self-observability gauges and snapshots every
-/// recorder source at the transport clock's current time.
+/// tick is one [`Obs::tick`] at the transport clock's current time.
 struct NodeSampler {
     obs: Arc<Obs>,
     clock: Arc<dyn kosha_rpc::Clock>,
-    /// Back-reference to the owning node, filled in right after the node
-    /// is built (the sampler must exist first — the node owns it). Weak,
-    /// so the sampler never keeps a dropped node alive.
-    node: Mutex<Weak<KoshaNode>>,
 }
 
 impl kosha_rpc::PumpHook for NodeSampler {
     fn pump(&self) {
-        if let Some(node) = self.node.lock().upgrade() {
-            // Scan-based, self-healing census of outstanding `.kosha_lag`
-            // markers (the consistency observatory's per-node gauge).
-            node.refresh_lag_marker_gauge();
-        }
-        self.obs.export_self_gauges();
-        self.obs.recorder.sample_all(self.clock.now().0);
+        self.obs.tick(self.clock.now().0);
     }
 }
 
@@ -176,13 +172,7 @@ impl KoshaNode {
         let sampler = Arc::new(NodeSampler {
             obs: Arc::clone(&obs),
             clock: net.clock(),
-            node: Mutex::new(Weak::new()),
         });
-        // The lag-marker gauge doubles as a flight-recorder series so
-        // churn analysis can plot outstanding write-behind windows.
-        let lag_gauge = obs.registry.gauge("kosha_replica_lag_markers");
-        obs.recorder
-            .watch_gauge("kosha_replica_lag_markers", &lag_gauge);
         // Outstanding heat-driven cached copies pushed by this primary
         // (DESIGN.md §16), also recorded so the hotspot bench can plot
         // spawn and decay over time.
@@ -212,7 +202,6 @@ impl KoshaNode {
             }),
             anchors: Mutex::new(BTreeMap::new()),
         });
-        *sampler.node.lock() = Arc::downgrade(&node);
         pastry.add_observer(Arc::new(LeafWatcher(Arc::downgrade(&node))));
         if let crate::config::ReplicationMode::WriteBehind { flush_interval, .. } =
             node.cfg.replication_mode
@@ -227,11 +216,11 @@ impl KoshaNode {
         // The sampler is always armed (every replication mode): under
         // SimNetwork each `run_pumps()` call (or `run_for` timer tick)
         // takes one flight-recorder snapshot per node; under
-        // ThreadedNetwork the shared timer ticks it on the sampling
-        // interval.
+        // ThreadedNetwork the shared timer ticks it every
+        // `SAMPLE_INTERVAL`.
         let _ = node.net.schedule_pump(
             Arc::downgrade(&sampler) as Weak<dyn kosha_rpc::PumpHook>,
-            node.cfg.sample_interval,
+            SAMPLE_INTERVAL,
         );
 
         let mux = Arc::new(ServiceMux::new());
@@ -308,10 +297,11 @@ impl KoshaNode {
             .retain(|addr, _| known.contains(addr));
     }
 
-    /// Point-in-time operational counters for this koshad.
+    /// Operational counters for this koshad (live registry handles;
+    /// read each with `.get()`).
     #[must_use]
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+    pub fn stats(&self) -> &KoshaStats {
+        &self.stats
     }
 
     /// This node's observability domain: the metric registry behind

@@ -4,8 +4,8 @@
 //! production operators need visibility into what the daemon is doing.
 //! Each counter is a handle into the node's [`kosha_obs::Registry`]
 //! (named `kosha_*_total`), so the same numbers appear in the node's
-//! Prometheus-style exposition and in [`crate::KoshaNode::stats`]
-//! snapshots. They are updated by the client-side interposition layer
+//! Prometheus-style exposition and through [`crate::KoshaNode::stats`].
+//! They are updated by the client-side interposition layer
 //! and the primary-side replica manager; tests also use them to assert
 //! that a scenario exercised the intended mechanism, e.g. that a
 //! failover actually promoted a replica rather than finding the data by
@@ -96,53 +96,6 @@ pub struct KoshaStats {
     pub hot_lease_invalidations: Arc<Counter>,
 }
 
-/// A plain-value snapshot of [`KoshaStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// See [`KoshaStats::fs_ops`].
-    pub fs_ops: u64,
-    /// See [`KoshaStats::failovers`].
-    pub failovers: u64,
-    /// See [`KoshaStats::promotions`].
-    pub promotions: u64,
-    /// See [`KoshaStats::migrations_out`].
-    pub migrations_out: u64,
-    /// See [`KoshaStats::migrations_in`].
-    pub migrations_in: u64,
-    /// See [`KoshaStats::replica_pushes`].
-    pub replica_pushes: u64,
-    /// See [`KoshaStats::replica_push_skips`].
-    pub replica_push_skips: u64,
-    /// See [`KoshaStats::replica_pulls`].
-    pub replica_pulls: u64,
-    /// See [`KoshaStats::redirections`].
-    pub redirections: u64,
-    /// See [`KoshaStats::replica_reads`].
-    pub replica_reads: u64,
-    /// See [`KoshaStats::replica_mirror_failures`].
-    pub replica_mirror_failures: u64,
-    /// See [`KoshaStats::replica_handle_hits`].
-    pub replica_handle_hits: u64,
-    /// See [`KoshaStats::writeback_enqueued`].
-    pub writeback_enqueued: u64,
-    /// See [`KoshaStats::writeback_flushes`].
-    pub writeback_flushes: u64,
-    /// See [`KoshaStats::writeback_flushed_ops`].
-    pub writeback_flushed_ops: u64,
-    /// See [`KoshaStats::writeback_coalesced_ops`].
-    pub writeback_coalesced_ops: u64,
-    /// See [`KoshaStats::replica_lag_events`].
-    pub replica_lag_events: u64,
-    /// See [`KoshaStats::replica_gc`].
-    pub replica_gc: u64,
-    /// See [`KoshaStats::hot_pushes`].
-    pub hot_pushes: u64,
-    /// See [`KoshaStats::hot_drops`].
-    pub hot_drops: u64,
-    /// See [`KoshaStats::hot_lease_invalidations`].
-    pub hot_lease_invalidations: u64,
-}
-
 impl KoshaStats {
     /// Resolves (or creates) every counter in `obs`'s registry.
     #[must_use]
@@ -178,34 +131,6 @@ impl KoshaStats {
             hot_lease_invalidations: c("kosha_hot_lease_invalidations_total"),
         }
     }
-
-    /// Takes a point-in-time snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            fs_ops: self.fs_ops.get(),
-            failovers: self.failovers.get(),
-            promotions: self.promotions.get(),
-            migrations_out: self.migrations_out.get(),
-            migrations_in: self.migrations_in.get(),
-            replica_pushes: self.replica_pushes.get(),
-            replica_push_skips: self.replica_push_skips.get(),
-            replica_pulls: self.replica_pulls.get(),
-            redirections: self.redirections.get(),
-            replica_reads: self.replica_reads.get(),
-            replica_mirror_failures: self.replica_mirror_failures.get(),
-            replica_handle_hits: self.replica_handle_hits.get(),
-            writeback_enqueued: self.writeback_enqueued.get(),
-            writeback_flushes: self.writeback_flushes.get(),
-            writeback_flushed_ops: self.writeback_flushed_ops.get(),
-            writeback_coalesced_ops: self.writeback_coalesced_ops.get(),
-            replica_lag_events: self.replica_lag_events.get(),
-            replica_gc: self.replica_gc.get(),
-            hot_pushes: self.hot_pushes.get(),
-            hot_drops: self.hot_drops.get(),
-            hot_lease_invalidations: self.hot_lease_invalidations.get(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,24 +138,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_reflects_bumps() {
-        let obs = Obs::new();
-        let s = KoshaStats::new(&obs);
-        s.promotions.inc();
-        s.promotions.inc();
-        s.fs_ops.inc();
-        let snap = s.snapshot();
-        assert_eq!(snap.promotions, 2);
-        assert_eq!(snap.fs_ops, 1);
-        assert_eq!(snap.failovers, 0);
-    }
-
-    #[test]
     fn counters_surface_in_the_registry() {
         let obs = Obs::new();
         let s = KoshaStats::new(&obs);
         s.failovers.inc();
+        s.promotions.inc();
+        s.promotions.inc();
+        assert_eq!(s.failovers.get(), 1);
+        assert_eq!(s.promotions.get(), 2);
+        assert_eq!(s.fs_ops.get(), 0);
         assert_eq!(obs.registry.counter("kosha_failovers_total").get(), 1);
+        assert_eq!(obs.registry.counter("kosha_promotions_total").get(), 2);
         let text = obs.registry.render();
         assert!(text.contains("kosha_failovers_total 1"), "{text}");
     }

@@ -574,9 +574,9 @@ fn stats_record_failover_promotion_and_migration() {
     m.write_file("/obs/f", b"watch me").unwrap();
 
     // Baseline: fs ops counted on the gateway.
-    assert!(c.nodes[0].stats().fs_ops > 0);
+    assert!(c.nodes[0].stats().fs_ops.get() > 0);
     // Replication pushed copies somewhere.
-    let pushes: u64 = c.nodes.iter().map(|n| n.stats().replica_pushes).sum();
+    let pushes: u64 = c.nodes.iter().map(|n| n.stats().replica_pushes.get()).sum();
     assert!(pushes > 0, "no replica pushes recorded");
 
     // Crash the primary (if it isn't the gateway) and read: the gateway
@@ -591,12 +591,15 @@ fn stats_record_failover_promotion_and_migration() {
     }
     c.net.fail_node(primary.addr());
     assert_eq!(m.read_file("/obs/f").unwrap(), b"watch me");
-    assert!(c.nodes[0].stats().failovers > 0, "failover not counted");
+    assert!(
+        c.nodes[0].stats().failovers.get() > 0,
+        "failover not counted"
+    );
     let recovered: u64 = c
         .nodes
         .iter()
         .filter(|n| n.addr() != primary.addr())
-        .map(|n| n.stats().promotions + n.stats().replica_pulls)
+        .map(|n| n.stats().promotions.get() + n.stats().replica_pulls.get())
         .sum();
     assert!(recovered > 0, "no promotion/pull recorded");
 }
@@ -615,7 +618,7 @@ fn stats_record_replica_reads() {
         m.read_file("/rr/f").unwrap();
     }
     assert!(
-        c.nodes[0].stats().replica_reads > 0,
+        c.nodes[0].stats().replica_reads.get() > 0,
         "round-robin never hit a replica"
     );
 }
@@ -762,7 +765,7 @@ fn stats_record_capacity_redirections() {
         }
         let _ = m.write_file(&format!("{dir}/blob"), &[9u8; 3000]);
     }
-    let redirections: u64 = c.nodes.iter().map(|n| n.stats().redirections).sum();
+    let redirections: u64 = c.nodes.iter().map(|n| n.stats().redirections.get()).sum();
     assert!(redirections > 0, "full nodes never counted a redirection");
     // The same mechanism journals a "redirection" event on the placing
     // node.
@@ -888,7 +891,7 @@ fn hot_object_gains_then_sheds_cached_copies() {
     for _ in 0..24 {
         assert_eq!(m.read_file("/zipf/hot.bin").unwrap(), vec![9u8; 2048]);
     }
-    let pushes: u64 = c.nodes.iter().map(|n| n.stats().hot_pushes).sum();
+    let pushes: u64 = c.nodes.iter().map(|n| n.stats().hot_pushes.get()).sum();
     assert!(pushes > 0, "hot spot never spawned a cached copy");
     assert!(hot_copies_total(&c) > 0, "hot-copy gauge stayed zero");
     assert!(
@@ -906,7 +909,7 @@ fn hot_object_gains_then_sheds_cached_copies() {
     }
     assert_eq!(hot_copies_total(&c), 0, "copies must shed after cooling");
     assert_eq!(hot_mark_holders(&c), 0, "lease marker survived shedding");
-    let drops: u64 = c.nodes.iter().map(|n| n.stats().hot_drops).sum();
+    let drops: u64 = c.nodes.iter().map(|n| n.stats().hot_drops.get()).sum();
     assert!(drops > 0, "shedding must be an explicit revocation");
     // Re-reads still work (and may heat the object right back up).
     assert_eq!(m.read_file("/zipf/hot.bin").unwrap(), vec![9u8; 2048]);
@@ -921,7 +924,7 @@ fn write_invalidates_hot_leases_and_reads_are_never_stale() {
     for _ in 0..24 {
         assert_eq!(m.read_file("/inv/doc").unwrap(), b"version one");
     }
-    let pushes: u64 = c.nodes.iter().map(|n| n.stats().hot_pushes).sum();
+    let pushes: u64 = c.nodes.iter().map(|n| n.stats().hot_pushes.get()).sum();
     assert!(
         pushes > 0,
         "test needs hot copies in place before the write"
@@ -932,7 +935,7 @@ fn write_invalidates_hot_leases_and_reads_are_never_stale() {
     let invals: u64 = c
         .nodes
         .iter()
-        .map(|n| n.stats().hot_lease_invalidations)
+        .map(|n| n.stats().hot_lease_invalidations.get())
         .sum();
     assert!(invals > 0, "write did not void the hot-copy leases");
 

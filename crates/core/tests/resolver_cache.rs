@@ -153,7 +153,7 @@ fn exhausted_retry_budget_returns_underlying_error() {
         other => panic!("expected the underlying IO error, got {other:?}"),
     }
     assert_eq!(
-        c.nodes[gateway].stats().failovers,
+        c.nodes[gateway].stats().failovers.get(),
         0,
         "a zero budget must not trigger failover retries"
     );

@@ -90,22 +90,21 @@ fn queued_writes_converge_on_flush_with_coalescing() {
         m.read_file("/wb/f.dat").unwrap(); // interleave reads (no effect)
     }
     let primary = primary_of(&c, "/wb");
-    let before = primary.stats();
+    let s = primary.stats();
     assert!(
-        before.writeback_enqueued > 0,
-        "mutations were not queued: {before:?}"
+        s.writeback_enqueued.get() > 0,
+        "mutations were not queued: {s:?}"
     );
     // Nothing forced a barrier yet with a 64-op queue; replicas converge
     // once the pump (driven explicitly on the sim transport) runs.
     c.net.run_pumps();
-    let after = primary.stats();
-    assert!(after.writeback_flushes > 0, "pump did not flush");
+    assert!(s.writeback_flushes.get() > 0, "pump did not flush");
     assert!(
-        after.writeback_coalesced_ops > 0,
-        "sequential writes did not coalesce: {after:?}"
+        s.writeback_coalesced_ops.get() > 0,
+        "sequential writes did not coalesce: {s:?}"
     );
     assert!(
-        after.writeback_flushed_ops < after.writeback_enqueued,
+        s.writeback_flushed_ops.get() < s.writeback_enqueued.get(),
         "coalescing shipped as many ops as were enqueued"
     );
     let holders = c
@@ -126,10 +125,10 @@ fn commit_is_a_flush_barrier() {
     m.mkdir_p("/sync").unwrap();
     m.write_file("/sync/f.dat", &[9u8; 2048]).unwrap();
     let primary = primary_of(&c, "/sync");
-    assert_eq!(primary.stats().writeback_flushes, 0);
+    assert_eq!(primary.stats().writeback_flushes.get(), 0);
     m.commit("/sync/f.dat").unwrap();
     let s = primary.stats();
-    assert!(s.writeback_flushes > 0, "COMMIT did not flush: {s:?}");
+    assert!(s.writeback_flushes.get() > 0, "COMMIT did not flush: {s:?}");
     assert_eq!(
         primary
             .obs()
@@ -164,7 +163,7 @@ fn full_queue_applies_backpressure() {
     let primary = primary_of(&c, "/bp");
     let s = primary.stats();
     assert!(
-        s.writeback_flushes > 0,
+        s.writeback_flushes.get() > 0,
         "queue overflow never forced a flush: {s:?}"
     );
     assert!(
@@ -250,7 +249,7 @@ fn killing_a_primary_with_queued_writes_reports_replica_lag() {
             .nodes
             .iter()
             .filter(|n| n.addr() != victim)
-            .map(|n| n.stats().replica_lag_events)
+            .map(|n| n.stats().replica_lag_events.get())
             .sum();
         assert!(lag_count > 0, "kosha_replica_lag_total not bumped");
     }
@@ -268,8 +267,8 @@ fn sync_mode_never_queues() {
     m.commit("/s/f").unwrap(); // COMMIT is valid (and a no-op) under Sync
     for n in &c.nodes {
         let s = n.stats();
-        assert_eq!(s.writeback_enqueued, 0, "sync mode queued a mutation");
-        assert_eq!(s.writeback_flushed_ops, 0);
+        assert_eq!(s.writeback_enqueued.get(), 0, "sync mode queued a mutation");
+        assert_eq!(s.writeback_flushed_ops.get(), 0);
     }
 }
 

@@ -91,12 +91,20 @@ impl Obs {
         self.next_op.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// One sampler tick at `t_nanos`: publishes the self gauges, then
+    /// samples every recorder source. Every sampler (node pumps and the
+    /// transports) ticks its domain through this one call.
+    pub fn tick(&self, t_nanos: u64) {
+        self.export_self_gauges();
+        self.recorder.sample_all(t_nanos);
+    }
+
     /// Self-observability: publishes this domain's own telemetry-loss
     /// counters as registry gauges, so silent drops (journal ring full,
     /// tracer buffer full, recorder series budget exhausted) are visible
-    /// through the same exposition as everything else. Called on each
-    /// sampler tick; cheap (four atomic loads, four atomic stores).
-    pub fn export_self_gauges(&self) {
+    /// through the same exposition as everything else. Cheap (four
+    /// atomic loads, four atomic stores).
+    fn export_self_gauges(&self) {
         self.registry
             .gauge("kosha_obs_journal_dropped_total")
             .set(self.journal.dropped() as i64);
@@ -130,7 +138,7 @@ mod tests {
         obs.journal.record(0, 1, "k", 1, "a");
         obs.journal.record(1, 1, "k", 2, "b");
         obs.journal.record(2, 1, "k", 3, "c"); // ring full → one drop
-        obs.export_self_gauges();
+        obs.tick(3);
         assert_eq!(
             obs.registry.gauge("kosha_obs_journal_dropped_total").get(),
             1
@@ -158,7 +166,7 @@ mod tests {
         }
         obs.recorder.record("one-too-many", 2, 0);
         obs.recorder.record("two-too-many", 2, 0);
-        obs.export_self_gauges();
+        obs.tick(3);
         assert_eq!(
             obs.registry.gauge("kosha_obs_recorder_dropped_total").get(),
             2

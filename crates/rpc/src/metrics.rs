@@ -16,12 +16,11 @@
 //! Handles are resolved once at construction; the per-call path is a few
 //! relaxed atomic adds with no locking.
 //!
-//! The smoothed per-link latency map is additionally published through
-//! the registry as `rpc_peer_latency_ewma_nanos{link="nFFFFFF>nTTTTTT"}`
-//! gauges (addresses zero-padded so the registry's sorted render lists
-//! links in source-then-destination order), and the per-service
-//! inflight/latency/call series are registered with the domain's flight
-//! recorder so samplers can capture their evolution over time.
+//! The per-service inflight/latency/call series are registered with the
+//! domain's flight recorder so samplers can capture their evolution over
+//! time. The smoothed per-link latency map is transport state, not
+//! telemetry: it stays out of the registry and the recorder, whose size
+//! would otherwise grow with the number of links.
 
 use crate::network::{NodeAddr, ServiceId};
 use kosha_obs::registry::labeled;
@@ -60,23 +59,6 @@ impl Drop for InflightGuard {
     }
 }
 
-/// One link's smoothed latency plus its registry gauge (created on the
-/// first sample, then updated in place with no registry lookup).
-struct PeerLat {
-    ewma: u64,
-    gauge: Arc<Gauge>,
-}
-
-/// The `link="nFFFFFF>nTTTTTT"` gauge name for one directed link
-/// (addresses zero-padded so the registry's sorted render lists links
-/// in source-then-destination address order).
-fn link_gauge_name(from: NodeAddr, to: NodeAddr) -> String {
-    labeled(
-        "rpc_peer_latency_ewma_nanos",
-        &[("link", &format!("n{:06}>n{:06}", from.0, to.0))],
-    )
-}
-
 /// All per-service handles plus the owning [`Obs`] domain.
 pub(crate) struct NetMetrics {
     obs: Arc<Obs>,
@@ -90,8 +72,8 @@ pub(crate) struct NetMetrics {
     /// B's estimate of C, or background maintenance traffic from far
     /// peers would perturb every reader's nearest-replica choice. Backs
     /// [`crate::Network::peer_latency_nanos`] for latency-aware replica
-    /// selection, and is mirrored into per-link registry gauges.
-    peer_latency: RwLock<HashMap<(u64, u64), PeerLat>>,
+    /// selection.
+    peer_latency: RwLock<HashMap<(u64, u64), u64>>,
 }
 
 impl NetMetrics {
@@ -148,58 +130,29 @@ impl NetMetrics {
         m
     }
 
-    /// Folds one completed round trip into the link's EWMA and mirrors
-    /// the new estimate into the link's registry gauge.
+    /// Folds one completed round trip into the link's EWMA.
     pub fn note_peer_latency(&self, from: NodeAddr, to: NodeAddr, nanos: u64) {
-        let mut m = self.peer_latency.write();
-        match m.get_mut(&(from.0, to.0)) {
-            Some(p) => {
-                p.ewma = (p.ewma * 7 + nanos) / 8;
-                p.gauge.set(p.ewma as i64);
-            }
-            None => {
-                let name = link_gauge_name(from, to);
-                let gauge = self.obs.registry.gauge(&name);
-                gauge.set(nanos as i64);
-                self.obs.recorder.watch_gauge(&name, &gauge);
-                m.insert((from.0, to.0), PeerLat { ewma: nanos, gauge });
-            }
-        }
+        self.peer_latency
+            .write()
+            .entry((from.0, to.0))
+            .and_modify(|ewma| *ewma = (*ewma * 7 + nanos) / 8)
+            .or_insert(nanos);
     }
 
     /// The link's smoothed latency as observed by `from`'s own
     /// completed calls, if it has made any.
     pub fn peer_latency(&self, from: NodeAddr, to: NodeAddr) -> Option<u64> {
-        self.peer_latency
-            .read()
-            .get(&(from.0, to.0))
-            .map(|p| p.ewma)
+        self.peer_latency.read().get(&(from.0, to.0)).copied()
     }
 
     /// Retires a departed peer's latency state: drops every link EWMA
-    /// touching it (as source or destination), the matching
-    /// `rpc_peer_latency_ewma_nanos{link=...}` registry gauges, and the
-    /// flight-recorder sources/series. Called on transport `detach`;
-    /// without it the per-link label set grows without bound under
-    /// churn and exhausts the recorder's series budget.
+    /// touching it, as source or destination. Called on transport
+    /// `detach`; without it the link map grows without bound under
+    /// churn.
     pub fn prune_peer(&self, addr: NodeAddr) {
-        let removed: Vec<(u64, u64)> = {
-            let mut m = self.peer_latency.write();
-            let keys: Vec<(u64, u64)> = m
-                .keys()
-                .filter(|(f, t)| *f == addr.0 || *t == addr.0)
-                .copied()
-                .collect();
-            for k in &keys {
-                m.remove(k);
-            }
-            keys
-        };
-        for (f, t) in removed {
-            let name = link_gauge_name(NodeAddr(f), NodeAddr(t));
-            self.obs.registry.remove(&name);
-            self.obs.recorder.forget(&name);
-        }
+        self.peer_latency
+            .write()
+            .retain(|&(f, t), _| f != addr.0 && t != addr.0);
     }
 
     /// The observability domain (for exposition and tests).
@@ -294,74 +247,24 @@ mod tests {
     }
 
     #[test]
-    fn peer_latency_is_exposed_as_sorted_gauges() {
-        let m = NetMetrics::new();
-        let from = NodeAddr(1);
-        // Insert out of address order; the render must sort by address.
-        m.note_peer_latency(from, NodeAddr(20), 900);
-        m.note_peer_latency(from, NodeAddr(3), 500);
-        m.note_peer_latency(from, NodeAddr(100), 700);
-        m.note_peer_latency(from, NodeAddr(3), 500); // EWMA steady state
-        let reg = &m.obs().registry;
-        assert_eq!(
-            reg.gauge("rpc_peer_latency_ewma_nanos{link=\"n000001>n000003\"}")
-                .get(),
-            500
-        );
-        let text = reg.render();
-        let pos: Vec<usize> = ["n000003", "n000020", "n000100"]
-            .iter()
-            .map(|p| {
-                text.find(&format!("link=\"n000001>{p}\""))
-                    .expect("link gauge")
-            })
-            .collect();
-        assert!(pos[0] < pos[1] && pos[1] < pos[2], "{text}");
-        // The EWMA is also a recorder source: one tick → one point.
-        m.obs().recorder.sample_all(42);
-        assert_eq!(
-            m.obs()
-                .recorder
-                .last("rpc_peer_latency_ewma_nanos{link=\"n000001>n000020\"}"),
-            Some((42, 900))
-        );
-    }
-
-    #[test]
-    fn prune_peer_retires_gauge_ewma_and_recorder_series() {
+    fn prune_peer_drops_every_link_touching_the_peer() {
         let m = NetMetrics::new();
         m.note_peer_latency(NodeAddr(1), NodeAddr(7), 400);
         m.note_peer_latency(NodeAddr(7), NodeAddr(8), 500);
         m.note_peer_latency(NodeAddr(1), NodeAddr(8), 600);
-        m.obs().recorder.sample_all(1);
-        let name7 = "rpc_peer_latency_ewma_nanos{link=\"n000001>n000007\"}";
-        let name78 = "rpc_peer_latency_ewma_nanos{link=\"n000007>n000008\"}";
-        assert!(m.obs().recorder.series(name7).is_some());
 
         // Pruning peer 7 drops links where it is source OR destination.
         m.prune_peer(NodeAddr(7));
         assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(7)), None);
         assert_eq!(m.peer_latency(NodeAddr(7), NodeAddr(8)), None);
-        for name in [name7, name78] {
-            assert!(
-                !m.obs().registry.names().iter().any(|n| n == name),
-                "gauge must leave the exposition"
-            );
-            assert!(m.obs().recorder.series(name).is_none());
-        }
-        // Ticking again must not resurrect the pruned series.
-        m.obs().recorder.sample_all(2);
-        assert!(m.obs().recorder.series(name7).is_none());
-        // The surviving link is untouched, and pruning counts no drops.
+        // The surviving link is untouched.
         assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(8)), Some(600));
-        assert_eq!(m.obs().recorder.dropped(), 0);
         // Pruning an unknown peer is a no-op.
         m.prune_peer(NodeAddr(99));
-        // A returning peer re-registers cleanly from scratch.
+        assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(8)), Some(600));
+        // A returning peer starts its EWMA from scratch.
         m.note_peer_latency(NodeAddr(1), NodeAddr(7), 1000);
         assert_eq!(m.peer_latency(NodeAddr(1), NodeAddr(7)), Some(1000));
-        m.obs().recorder.sample_all(3);
-        assert_eq!(m.obs().recorder.last(name7), Some((3, 1000)));
     }
 
     #[test]

@@ -215,9 +215,8 @@ impl SimNetwork {
     }
 
     /// Detaches a node entirely (permanent removal). The departed peer's
-    /// latency gauge, recorder series, crash marker, and coordinates are
-    /// pruned with it, so churn does not grow any per-peer state without
-    /// bound.
+    /// link latencies, crash marker, and coordinates are pruned with it,
+    /// so churn does not grow any per-peer state without bound.
     pub fn detach(&self, addr: NodeAddr) {
         self.nodes.write().remove(&addr);
         self.down.write().remove(&addr);
@@ -315,9 +314,7 @@ impl SimNetwork {
         // One flight-recorder tick for the transport's own domain, at
         // the (deterministic) virtual time the pumps settled on. Node
         // domains tick themselves via their sampler hooks above.
-        let obs = self.metrics.obs();
-        obs.export_self_gauges();
-        obs.recorder.sample_all(self.clock.now().0);
+        self.metrics.obs().tick(self.clock.now().0);
         live.len()
     }
 
@@ -424,9 +421,7 @@ impl SimNetwork {
                 .schedule_at(next, self.clock.now().0, SimEvent::PumpTick(i));
             // A recurring tick also refreshes the transport-domain
             // recorder so long idle runs produce a time-series.
-            let obs = self.metrics.obs();
-            obs.export_self_gauges();
-            obs.recorder.sample_all(self.clock.now().0);
+            self.metrics.obs().tick(self.clock.now().0);
         } else if let Some(p) = self.pumps.lock().get_mut(i) {
             p.armed = false;
         }
@@ -633,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn detach_prunes_peer_latency_telemetry() {
+    fn detach_prunes_the_link_map() {
         let net = net_with_echo(LatencyModel::default());
         // Generations of short-lived peers join, serve one call, leave.
         for gen in 0..40u64 {
@@ -643,22 +638,39 @@ mod tests {
             net.attach(addr, mux);
             net.call(NodeAddr(1), addr, RpcRequest::new(ServiceId::Nfs, &gen))
                 .unwrap();
-            net.obs().recorder.sample_all(gen);
+            assert!(net.peer_latency_nanos(NodeAddr(1), addr).is_some());
             net.detach(addr);
             assert_eq!(net.peer_latency_nanos(NodeAddr(1), addr), None);
         }
+    }
+
+    #[test]
+    fn link_count_does_not_grow_telemetry() {
+        // 40 nodes calling every other node make 1,560 directed links,
+        // three times the recorder's series budget. Link latencies are
+        // transport state: neither the registry nor the recorder grows.
+        let net = SimNetwork::new(LatencyModel::default());
         let obs = net.obs();
-        let peers = |v: Vec<String>| {
-            v.into_iter()
-                .filter(|n| n.starts_with("rpc_peer_latency_ewma_nanos"))
-                .count()
-        };
-        // Only the long-lived peer 2 may still hold a gauge (from the
-        // net_with_echo warm-up path); every churned peer is gone from
-        // registry and recorder alike, with nothing counted as dropped.
-        assert!(peers(obs.registry.names()) <= 1, "registry grew");
-        assert!(peers(obs.recorder.series_names()) <= 1, "recorder grew");
+        let names = obs.registry.names().len();
+        let addrs: Vec<NodeAddr> = (1..=40).map(NodeAddr).collect();
+        for &a in &addrs {
+            let mux = Arc::new(ServiceMux::new());
+            mux.register(ServiceId::Nfs, Arc::new(Echo));
+            net.attach(a, mux);
+        }
+        for &from in &addrs {
+            for &to in addrs.iter().filter(|&&to| to != from) {
+                net.call(from, to, RpcRequest::new(ServiceId::Nfs, &from.0))
+                    .unwrap();
+            }
+        }
+        assert_eq!(obs.registry.names().len(), names);
         assert_eq!(obs.recorder.dropped(), 0);
+        for &from in &addrs {
+            for &to in addrs.iter().filter(|&&to| to != from) {
+                assert!(net.peer_latency_nanos(from, to).is_some());
+            }
+        }
     }
 
     #[test]

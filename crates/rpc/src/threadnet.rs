@@ -426,9 +426,8 @@ impl ThreadedNetwork {
 
     /// Detaches a node, closing all of its actors. Requests already
     /// queued are dropped (their callers observe `Unreachable`). The
-    /// departed peer's latency gauge, recorder series, and crash marker
-    /// are pruned with it, so churn does not grow any per-peer state
-    /// without bound.
+    /// departed peer's link latencies and crash marker are pruned with
+    /// it, so churn does not grow any per-peer state without bound.
     pub fn detach(&self, addr: NodeAddr) {
         let removed: Vec<Arc<ServiceActor>> = {
             let mut actors = self.actors.write();
@@ -746,8 +745,7 @@ impl Network for ThreadedNetwork {
                     for hook in due {
                         hook.pump();
                     }
-                    obs.export_self_gauges();
-                    obs.recorder.sample_all(clock.now().0);
+                    obs.tick(clock.now().0);
                 })
                 .expect("spawn timer thread");
             *timer = Some(handle);

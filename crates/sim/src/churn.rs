@@ -106,6 +106,16 @@ pub struct DivergencePoint {
     pub nodes_unreachable: u64,
 }
 
+/// Telemetry size at the end of a churn run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChurnTelemetry {
+    /// Metric names in the transport registry.
+    pub registry_names: u64,
+    /// Recorder registrations and points refused for lack of series
+    /// budget, summed over the transport and every node domain.
+    pub recorder_dropped: u64,
+}
+
 /// Everything a churn run measured.
 #[derive(Debug, Clone)]
 pub struct ChurnReport {
@@ -164,6 +174,8 @@ pub struct ChurnReport {
     pub failovers: u64,
     /// Recoveries that came back with a purged disk.
     pub purged_recoveries: u64,
+    /// Telemetry size at the end of the run.
+    pub telemetry: ChurnTelemetry,
     /// Virtual time the whole run spanned.
     pub virtual_elapsed_nanos: u64,
 }
@@ -439,13 +451,22 @@ pub fn run_churn(p: &ChurnParams) -> ChurnReport {
         promotions: 0,
         failovers: 0,
         purged_recoveries,
+        telemetry: ChurnTelemetry {
+            registry_names: net.obs().registry.names().len() as u64,
+            recorder_dropped: net.obs().recorder.dropped()
+                + cluster
+                    .nodes
+                    .iter()
+                    .map(|n| n.obs().recorder.dropped())
+                    .sum::<u64>(),
+        },
         virtual_elapsed_nanos: cluster.clock().now().0 - start_t,
     };
     for node in &cluster.nodes {
         let s = node.stats();
-        report.replica_pushes += s.replica_pushes;
-        report.promotions += s.promotions;
-        report.failovers += s.failovers;
+        report.replica_pushes += s.replica_pushes.get();
+        report.promotions += s.promotions.get();
+        report.failovers += s.failovers.get();
     }
     report
 }
@@ -537,6 +558,10 @@ impl ChurnReport {
         }
         out.push_str("  ],\n");
         out.push_str(&format!(
+            "  \"telemetry\": {{\"registry_names\": {}, \"recorder_dropped\": {}}},\n",
+            self.telemetry.registry_names, self.telemetry.recorder_dropped
+        ));
+        out.push_str(&format!(
             "  \"virtual_elapsed_nanos\": {}\n",
             self.virtual_elapsed_nanos
         ));
@@ -555,6 +580,7 @@ impl ChurnReport {
              divergence peak: {} objects ({}B); final: {} divergent, {} under-rep, {} over-rep, \
              {} orphaned, {} dup primaries, {} lag markers\n\
              repair: {} rpc calls, {}B, {} pushes, {} promotions, {} failovers, {} purged disks\n\
+             telemetry: {} transport registry names, {} recorder drops\n\
              availability floor: {}/{} nodes up at the worst hour\n",
             self.nodes,
             self.hours,
@@ -579,6 +605,8 @@ impl ChurnReport {
             self.promotions,
             self.failovers,
             self.purged_recoveries,
+            self.telemetry.registry_names,
+            self.telemetry.recorder_dropped,
             min_up,
             self.nodes,
         )
@@ -633,6 +661,7 @@ mod tests {
             "peak below final: {r:?}"
         );
         assert!(r.repair_rpc_calls > 0, "repair phase issued no RPCs");
+        assert_eq!(r.telemetry.recorder_dropped, 0, "{r:?}");
     }
 
     #[test]

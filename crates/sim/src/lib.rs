@@ -35,7 +35,9 @@ pub mod workbench;
 
 pub use availability::{AvailabilityParams, AvailabilityTrace};
 pub use cached_mount::CachedKoshaMount;
-pub use churn::{run_churn, ChurnParams, ChurnReport, ChurnWindow, DivergencePoint};
+pub use churn::{
+    run_churn, ChurnParams, ChurnReport, ChurnTelemetry, ChurnWindow, DivergencePoint,
+};
 pub use cluster::{ClusterParams, SimCluster};
 pub use fstrace::{FsTrace, TraceFile, TraceParams};
 pub use mab::{MabParams, MabTimes};
