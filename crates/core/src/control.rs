@@ -109,7 +109,9 @@ wire_enum! {
     /// full virtual path (relative to `/kosha`, normalized). Each label is
     /// the request kind's short stable name, used to label trace spans
     /// (`kosha:{name}` on the control service, `replica:{name}` on the
-    /// replica service) and journal details.
+    /// replica service) and journal details. Tags 15–17 carried the
+    /// per-object migration messages that `TransferAnchor` replaced; they
+    /// are retired and never reused.
     #[derive(Debug, Clone, PartialEq)]
     pub enum KoshaRequest {
         /// Create a regular file (primary of the parent directory). `size`
@@ -244,26 +246,6 @@ wire_enum! {
         /// Query `(capacity, used, free)` of this node's contributed space —
         /// the fullness test behind redirection (§3.3).
         StoreStats = 14 "store_stats",
-        /// Migration: begin receiving an anchor subtree into the store.
-        BeginTransfer = 15 "begin_transfer" {
-            /// Anchor virtual path.
-            path: String,
-        },
-        /// Migration: one object of the subtree.
-        TransferPut = 16 "transfer_put" {
-            /// Anchor virtual path.
-            path: String,
-            /// The object.
-            item: MigrateItem,
-        },
-        /// Migration: subtree complete; adopt the anchor (record routing name,
-        /// clear flags, start replicating it).
-        CommitTransfer = 17 "commit_transfer" {
-            /// Anchor virtual path.
-            path: String,
-            /// Routing name of the anchor.
-            routing_name: String,
-        },
         /// Introspection: list `(anchor_path, routing_name)` pairs hosted
         /// here (tests and experiment harnesses).
         ListAnchors = 18 "list_anchors",
@@ -358,6 +340,26 @@ wire_enum! {
             /// Covering anchor virtual path.
             anchor: String,
             /// Virtual path of the object whose lease is revoked.
+            path: String,
+        },
+        /// Migration (§4.3.1): adopt the anchor at `path` with its whole
+        /// subtree in one round trip. The receiver merges `items` into any
+        /// copy it already holds (same-named entries are replaced, others
+        /// kept), records the routing name, and starts replicating it.
+        TransferAnchor = 28 "transfer_anchor" {
+            /// Anchor virtual path.
+            path: String,
+            /// Routing name of the anchor.
+            routing_name: String,
+            /// The full subtree, in parent-before-child order.
+            items: Vec<MigrateItem>,
+        },
+        /// Neighbour pull (served on `ServiceId::KoshaReplica`): reply with
+        /// the receiver's durable replica copy of the anchor at `path` as
+        /// `Items`, or `NoEnt` when it holds none (a slot of leased hot
+        /// copies does not count). Reads only local state.
+        ExportReplicaSlot = 29 "export_replica_slot" {
+            /// Anchor virtual path.
             path: String,
         },
     }
@@ -496,6 +498,9 @@ wire_enum! {
         Nodes = 5 (Vec<kosha_rpc::NodeAddr>),
         /// Per-slot consistency digests (`AuditScan`), slot order.
         Audit = 6 (Vec<AuditEntry>),
+        /// An exported slot subtree (`ExportReplicaSlot`), parent before
+        /// child.
+        Items = 7 (Vec<MigrateItem>),
     }
 }
 
@@ -643,30 +648,10 @@ mod tests {
             "0d020000002f6103000000612333",
         );
         assert_golden(&KoshaRequest::StoreStats, "0e");
-        assert_golden(
-            &KoshaRequest::BeginTransfer { path: "/a".into() },
-            "0f020000002f61",
-        );
-        assert_golden(
-            &KoshaRequest::TransferPut {
-                path: "/a".into(),
-                item: MigrateItem {
-                    rel_path: "x/f".into(),
-                    kind: MigrateKind::Bytes(vec![7; 9]),
-                    mode: 0o644,
-                    uid: 3,
-                    gid: 4,
-                },
-            },
-            "10020000002f6103000000782f660109000000070707070707070707a40100000300000004000000",
-        );
-        assert_golden(
-            &KoshaRequest::CommitTransfer {
-                path: "/a".into(),
-                routing_name: "a".into(),
-            },
-            "11020000002f610100000061",
-        );
+        // Tags 15-17 (the per-object migration messages) are retired.
+        for retired in [0x0f, 0x10, 0x11] {
+            assert!(KoshaRequest::decode(&[retired]).is_err());
+        }
         assert_golden(&KoshaRequest::ListAnchors, "12");
         assert_golden(
             &KoshaRequest::ReplicaTargets { path: "/a".into() },
@@ -752,6 +737,18 @@ mod tests {
                 path: "/a/hot".into(),
             },
             "1b020000002f61060000002f612f686f74",
+        );
+        assert_golden(
+            &KoshaRequest::TransferAnchor {
+                path: "/a".into(),
+                routing_name: "a".into(),
+                items: vec![item("f", MigrateKind::Bytes(vec![7; 3]))],
+            },
+            "1c020000002f6101000000610100000001000000660103000000070707a40100000100000002000000",
+        );
+        assert_golden(
+            &KoshaRequest::ExportReplicaSlot { path: "/a".into() },
+            "1d020000002f61",
         );
     }
 
@@ -839,6 +836,10 @@ mod tests {
                 },
             ]))),
             "000602000000110000004030306434633035653362306230386531020000002f6100280000006461333961336565356536623462306433323535626665663935363031383930616664383037303900100000000000000c0000000000000000000011000000403030643463303565336230623038653100000000012800000062363538396663366162306463383263663132303939643163326434306162393934653834313063a00f0000000000000b00000000000000010101",
+        );
+        assert_golden(
+            &KoshaReplyFrame(Ok(KoshaReply::Items(vec![item("d", MigrateKind::Dir)]))),
+            "000701000000010000006400a40100000100000002000000",
         );
         assert_golden(&KoshaReplyFrame(Err(NfsStatus::NoSpc)), "06");
         assert_golden(&KoshaReplyFrame(Err(NfsStatus::NotEmpty)), "05");

@@ -476,11 +476,7 @@ impl KoshaNode {
             slot_local_path(Area::Replica, anchor, anchor),
             HOT_MARK
         );
-        let Some(text) = self.store.with_store(|v| {
-            let (id, attr) = v.resolve(&mark).ok()?;
-            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-            String::from_utf8(data).ok()
-        }) else {
+        let Some(text) = self.read_internal(&mark) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -518,37 +514,7 @@ impl KoshaNode {
         for (path, seq, exp) in &leases {
             text.push_str(&format!("{path} {seq} {exp}\n"));
         }
-        let fh = match self.apply(NfsRequest::Lookup {
-            dir,
-            name: HOT_MARK.into(),
-        }) {
-            Ok(NfsReply::Handle { fh, .. }) => fh,
-            Err(NfsStatus::NoEnt) => match self.apply(NfsRequest::Create {
-                dir,
-                name: HOT_MARK.into(),
-                mode: 0o600,
-                uid: 0,
-                gid: 0,
-            })? {
-                NfsReply::Handle { fh, .. } => fh,
-                _ => return Err(NfsStatus::Io),
-            },
-            Err(e) => return Err(e),
-            Ok(_) => return Err(NfsStatus::Io),
-        };
-        self.apply(NfsRequest::Setattr {
-            fh,
-            sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
-                size: Some(0),
-                ..Default::default()
-            }),
-        })?;
-        self.apply(NfsRequest::Write {
-            fh,
-            offset: 0,
-            data: text.into_bytes(),
-        })
-        .map(|_| ())
+        self.write_internal(dir, HOT_MARK, text.into_bytes(), false)
     }
 
     /// `HotReplicaPush` handler: materializes the pushed copy in the

@@ -8,9 +8,10 @@ use crate::control::{
 };
 use crate::node::{ControlService, KoshaNode, ReplicaService};
 use crate::paths::{
-    anchor_slot, is_internal_name, slot_local_path, Area, ANCHOR_META, LAG_MARK, MIGRATION_FLAG,
+    anchor_slot, is_internal_name, slot_local_path, Area, ANCHOR_META, HOT_MARK, LAG_MARK,
+    MIGRATION_FLAG,
 };
-use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsStatus};
+use kosha_nfs::{Fh, NfsReply, NfsRequest, NfsResult, NfsServer, NfsStatus};
 use kosha_pastry::NodeInfo;
 use kosha_rpc::{NodeAddr, RpcError, RpcHandler, RpcRequest, RpcResponse, ServiceId, WireRead};
 use kosha_vfs::path::parent_and_name;
@@ -70,26 +71,51 @@ impl KoshaNode {
         self.store.apply(req)
     }
 
-    // ---- anchor metadata ------------------------------------------------
+    // ---- internal files ---------------------------------------------------
 
-    fn write_anchor_meta(&self, anchor: &str, routing: &str) -> Result<(), NfsStatus> {
-        let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        let dir = self.fh_of(&slot_path)?;
-        let fh = match self.apply(NfsRequest::Create {
-            dir,
-            name: ANCHOR_META.into(),
-            mode: 0o600,
-            uid: 0,
-            gid: 0,
-        }) {
+    /// Reads one of Kosha's small internal files (`.kosha_anchor`,
+    /// `.kosha_lag`, `.kosha_hot`) at the node-local `path`, without
+    /// charging the store; `None` when it is absent.
+    pub(crate) fn read_internal(&self, path: &str) -> Option<String> {
+        self.store.with_store(|v| {
+            let (id, attr) = v.resolve(path).ok()?;
+            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
+            String::from_utf8(data).ok()
+        })
+    }
+
+    /// Rewrites the internal file `name` in `dir` with `data`: looks it
+    /// up, creates it when missing, truncates it (a shorter text must
+    /// not keep stale trailing bytes), then writes. `fresh_dir` skips
+    /// the lookup when the caller has just made `dir`, so the name
+    /// cannot exist yet.
+    pub(crate) fn write_internal(
+        &self,
+        dir: Fh,
+        name: &str,
+        data: Vec<u8>,
+        fresh_dir: bool,
+    ) -> Result<(), NfsStatus> {
+        let found = if fresh_dir {
+            Err(NfsStatus::NoEnt)
+        } else {
+            self.apply(NfsRequest::Lookup {
+                dir,
+                name: name.into(),
+            })
+        };
+        let fh = match found {
             Ok(NfsReply::Handle { fh, .. }) => fh,
-            Err(NfsStatus::Exist) => {
-                let (id, _) = self
-                    .store
-                    .with_store(|v| v.resolve(&format!("{slot_path}/{ANCHOR_META}")))
-                    .map_err(NfsStatus::from)?;
-                Fh::from_file_id(id)
-            }
+            Err(NfsStatus::NoEnt) => match self.apply(NfsRequest::Create {
+                dir,
+                name: name.into(),
+                mode: 0o600,
+                uid: 0,
+                gid: 0,
+            })? {
+                NfsReply::Handle { fh, .. } => fh,
+                _ => return Err(NfsStatus::Io),
+            },
             Err(e) => return Err(e),
             Ok(_) => return Err(NfsStatus::Io),
         };
@@ -103,21 +129,14 @@ impl KoshaNode {
         self.apply(NfsRequest::Write {
             fh,
             offset: 0,
-            data: routing.as_bytes().to_vec(),
-        })?;
-        Ok(())
+            data,
+        })
+        .map(|_| ())
     }
 
     fn read_anchor_meta(&self, anchor: &str) -> Option<String> {
-        let p = format!(
-            "{}/{ANCHOR_META}",
-            slot_local_path(Area::Store, anchor, anchor)
-        );
-        self.store.with_store(|v| {
-            let (id, attr) = v.resolve(&p).ok()?;
-            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-            String::from_utf8(data).ok()
-        })
+        let slot_path = slot_local_path(Area::Store, anchor, anchor);
+        self.read_internal(&format!("{slot_path}/{ANCHOR_META}"))
     }
 
     // ---- replication ------------------------------------------------------
@@ -272,7 +291,8 @@ impl KoshaNode {
     }
 
     /// Serves the replica-maintenance service: only replica-area
-    /// requests (mirrored ops, full pushes, and hot-copy push/drop) are
+    /// requests (mirrored ops, full pushes, slot exports for the
+    /// neighbour pull, and hot-copy push/drop) are
     /// valid here, and all of them touch purely local state (no nested
     /// RPCs), preserving the transports' deadlock discipline.
     pub(crate) fn handle_replica(&self, req: KoshaRequest) -> Result<KoshaReply, NfsStatus> {
@@ -292,8 +312,21 @@ impl KoshaNode {
                 Ok(KoshaReply::Done)
             }
             KoshaRequest::MigrateBatch { path, items } => {
-                self.receive_migrate_batch(&path, &items)?;
+                self.install_replica_slot(&path, &items)?;
                 Ok(KoshaReply::Done)
+            }
+            KoshaRequest::ExportReplicaSlot { path } => {
+                if !self.holds_durable_replica(&path) {
+                    return Err(NfsStatus::NoEnt);
+                }
+                let slot_path = slot_local_path(Area::Replica, &path, &path);
+                let items = self
+                    .store
+                    .with_store(|v| v.export_tree(&slot_path))
+                    .map_err(NfsStatus::from)?;
+                Ok(KoshaReply::Items(
+                    items.into_iter().map(MigrateItem::from).collect(),
+                ))
             }
             KoshaRequest::HotReplicaPush {
                 anchor,
@@ -477,39 +510,7 @@ impl KoshaNode {
                         NfsStatus::NoEnt,
                     );
                 }
-                let fh = match self.apply(NfsRequest::Lookup {
-                    dir,
-                    name: LAG_MARK.into(),
-                }) {
-                    Ok(NfsReply::Handle { fh, .. }) => fh,
-                    Err(NfsStatus::NoEnt) => match self.apply(NfsRequest::Create {
-                        dir,
-                        name: LAG_MARK.into(),
-                        mode: 0o600,
-                        uid: 0,
-                        gid: 0,
-                    })? {
-                        NfsReply::Handle { fh, .. } => fh,
-                        _ => return Err(NfsStatus::Io),
-                    },
-                    Err(e) => return Err(e),
-                    Ok(_) => return Err(NfsStatus::Io),
-                };
-                // Truncate before writing the decimal count so a shorter
-                // stamp never leaves stale trailing digits.
-                self.apply(NfsRequest::Setattr {
-                    fh,
-                    sattr: kosha_nfs::messages::WireSetAttr(SetAttr {
-                        size: Some(0),
-                        ..Default::default()
-                    }),
-                })?;
-                self.apply(NfsRequest::Write {
-                    fh,
-                    offset: 0,
-                    data: bytes.to_string().into_bytes(),
-                })
-                .map(|_| ())
+                self.write_internal(dir, LAG_MARK, bytes.to_string().into_bytes(), false)
             }
             ReplicaOp::RenameSlot { from, to } => {
                 let rarea = self.fh_of(&format!("/{}", Area::Replica.dir_name()))?;
@@ -526,10 +527,11 @@ impl KoshaNode {
         }
     }
 
-    /// Installs a complete anchor copy shipped in one RPC: drop any stale
-    /// replica, materialize the subtree under the migration flag, then
-    /// clear the flag (§4.4's consistency bracket).
-    fn receive_migrate_batch(&self, anchor: &str, items: &[MigrateItem]) -> Result<(), NfsStatus> {
+    /// Installs a complete anchor copy into a freshly wiped replica
+    /// slot, bracketed by the `MIGRATION_NOT_COMPLETE` flag (§4.4's
+    /// consistency bracket): the receiving end of the replica push and
+    /// of the neighbour pull.
+    fn install_replica_slot(&self, anchor: &str, items: &[MigrateItem]) -> Result<(), NfsStatus> {
         let rarea = self.fh_of(&format!("/{}", Area::Replica.dir_name()))?;
         let slot = anchor_slot(anchor);
         let _ = self.apply(NfsRequest::RemoveTree {
@@ -553,73 +555,23 @@ impl KoshaNode {
             uid: 0,
             gid: 0,
         })?;
-        let mut dirs: HashMap<String, Fh> = HashMap::new();
-        dirs.insert(String::new(), aroot);
-        for item in items {
-            if item.rel_path.is_empty() {
-                continue;
-            }
-            let (prel, name) = match item.rel_path.rsplit_once('/') {
-                Some((p, n)) => (p.to_string(), n),
-                None => (String::new(), item.rel_path.as_str()),
-            };
-            let Some(&pfh) = dirs.get(&prel) else {
-                continue;
-            };
-            match &item.kind {
-                MigrateKind::Dir => {
-                    if let NfsReply::Handle { fh, .. } = self.apply(NfsRequest::Mkdir {
-                        dir: pfh,
-                        name: name.to_string(),
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })? {
-                        dirs.insert(item.rel_path.clone(), fh);
-                    }
-                }
-                MigrateKind::Bytes(data) => {
-                    if let NfsReply::Handle { fh, .. } = self.apply(NfsRequest::Create {
-                        dir: pfh,
-                        name: name.to_string(),
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })? {
-                        self.apply(NfsRequest::Write {
-                            fh,
-                            offset: 0,
-                            data: data.clone(),
-                        })?;
-                    }
-                }
-                MigrateKind::Sparse(n) => {
-                    self.apply(NfsRequest::CreateSized {
-                        dir: pfh,
-                        name: name.to_string(),
-                        size: *n,
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })?;
-                }
-                MigrateKind::Symlink { target } => {
-                    self.apply(NfsRequest::Symlink {
-                        dir: pfh,
-                        name: name.to_string(),
-                        target: target.clone(),
-                        mode: item.mode,
-                        uid: item.uid,
-                        gid: item.gid,
-                    })?;
-                }
-            }
-        }
+        install_items(&self.store, aroot, items)?;
         self.apply(NfsRequest::Remove {
             dir: aroot,
             name: MIGRATION_FLAG.into(),
         })?;
         Ok(())
+    }
+
+    /// Whether this node's replica slot for `anchor` is a durable copy:
+    /// present, and not a slot of leased hot copies (`.kosha_hot`,
+    /// DESIGN.md §16), which holds only the hot objects and must never
+    /// become the primary copy.
+    fn holds_durable_replica(&self, anchor: &str) -> bool {
+        let slot = slot_local_path(Area::Replica, anchor, anchor);
+        self.store.with_store(|v| {
+            v.resolve(&slot).is_ok() && v.resolve(&format!("{slot}/{HOT_MARK}")).is_err()
+        })
     }
 
     // ---- promotion & migration -------------------------------------------
@@ -633,18 +585,10 @@ impl KoshaNode {
     /// from the now-authoritative copy.
     fn consume_lag_marker(&self, anchor: &str) {
         let slot_path = slot_local_path(Area::Store, anchor, anchor);
-        let marker = format!("{slot_path}/{LAG_MARK}");
-        let bytes = self.store.with_store(|v| {
-            let (id, attr) = v.resolve(&marker).ok()?;
-            let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-            Some(
-                String::from_utf8_lossy(&data)
-                    .trim()
-                    .parse::<u64>()
-                    .unwrap_or(0),
-            )
-        });
-        let Some(bytes) = bytes else { return };
+        let Some(text) = self.read_internal(&format!("{slot_path}/{LAG_MARK}")) else {
+            return;
+        };
+        let bytes = text.trim().parse::<u64>().unwrap_or(0);
         if let Ok(dir) = self.fh_of(&slot_path) {
             let _ = self.apply(NfsRequest::Remove {
                 dir,
@@ -663,7 +607,10 @@ impl KoshaNode {
 
     /// Moves `anchor` from the replica area into the store and starts
     /// serving it as primary (§4.4's transparent failover end-state).
-    fn promote_anchor(&self, anchor: &str) -> Result<(), NfsStatus> {
+    /// `routing` stands in when the copy carries no anchor meta;
+    /// `pulled` marks a copy just fetched from a neighbour, which counts
+    /// as a pull rather than a promotion.
+    fn promote_anchor(&self, anchor: &str, routing: &str, pulled: bool) -> Result<(), NfsStatus> {
         let slot = anchor_slot(anchor);
         self.store
             .with_store(|v| {
@@ -686,148 +633,54 @@ impl KoshaNode {
         self.consume_lag_marker(anchor);
         let routing = self
             .read_anchor_meta(anchor)
-            .unwrap_or_else(|| default_routing(anchor));
+            .unwrap_or_else(|| routing.to_string());
         self.anchors.lock().insert(anchor.to_string(), routing);
-        self.stats.promotions.inc();
-        self.journal(
-            "promotion",
-            format!("replica of {anchor:?} promoted to primary"),
-        );
-        self.ensure_replicas(anchor);
-        Ok(())
-    }
-
-    /// Searches the leaf set for a node holding a replica of `anchor`
-    /// and copies it into the local store over NFS. Returns true on
-    /// success. This covers the corner the paper's §4.4 glosses over:
-    /// with few replicas, the node that becomes numerically closest after
-    /// a failure is not always one of the replica holders.
-    fn pull_anchor_from_neighbors(&self, anchor: &str, routing: &str) -> bool {
-        let slot = anchor_slot(anchor);
-        for m in self.pastry.leaf_members() {
-            let Ok(root) = self.nfs.mount(m.addr) else {
-                continue;
-            };
-            let Ok((rarea, _)) = self.nfs.lookup(m.addr, root, Area::Replica.dir_name()) else {
-                continue;
-            };
-            let Ok((src, _)) = self.nfs.lookup(m.addr, rarea, &slot) else {
-                continue;
-            };
-            // Found a replica holder: materialize into our store.
-            let dst = {
-                let sarea = match self.fh_of(&format!("/{}", Area::Store.dir_name())) {
-                    Ok(fh) => fh,
-                    Err(_) => continue,
-                };
-                let _ = self.apply(NfsRequest::RemoveTree {
-                    dir: sarea,
-                    name: slot.clone(),
-                });
-                match self.apply(NfsRequest::Mkdir {
-                    dir: sarea,
-                    name: slot.clone(),
-                    mode: 0o755,
-                    uid: 0,
-                    gid: 0,
-                }) {
-                    Ok(NfsReply::Handle { fh, .. }) => fh,
-                    _ => continue,
-                }
-            };
-            if self.pull_tree(m.addr, src, dst).is_err() {
-                continue;
-            }
-            // Drop a stale migration flag if the holder's copy had one.
-            let _ = self.apply(NfsRequest::Remove {
-                dir: dst,
-                name: MIGRATION_FLAG.into(),
-            });
-            self.consume_lag_marker(anchor);
-            let routing = self
-                .read_anchor_meta(anchor)
-                .unwrap_or_else(|| routing.to_string());
-            self.anchors.lock().insert(anchor.to_string(), routing);
+        if pulled {
             self.stats.replica_pulls.inc();
             self.journal(
                 "replica_pull",
                 format!("pulled {anchor:?} from a neighbor replica"),
             );
-            self.ensure_replicas(anchor);
-            return true;
+        } else {
+            self.stats.promotions.inc();
+            self.journal(
+                "promotion",
+                format!("replica of {anchor:?} promoted to primary"),
+            );
         }
-        false
-    }
-
-    /// Recursively copies a remote directory (by NFS reads) into a local
-    /// store directory.
-    fn pull_tree(&self, src_addr: NodeAddr, src: Fh, dst: Fh) -> NfsResult<()> {
-        for e in self.nfs.readdir(src_addr, src)? {
-            let attr = self.nfs.getattr(src_addr, e.fh)?;
-            match e.ftype {
-                kosha_vfs::FileType::Directory => {
-                    let child = match self.apply(NfsRequest::Mkdir {
-                        dir: dst,
-                        name: e.name.clone(),
-                        mode: attr.mode,
-                        uid: attr.uid,
-                        gid: attr.gid,
-                    }) {
-                        Ok(NfsReply::Handle { fh, .. }) => fh,
-                        Ok(_) => continue,
-                        Err(err) => return Err(kosha_nfs::NfsError::Status(err)),
-                    };
-                    self.pull_tree(src_addr, e.fh, child)?;
-                }
-                kosha_vfs::FileType::Regular => {
-                    let local = match self.apply(NfsRequest::Create {
-                        dir: dst,
-                        name: e.name.clone(),
-                        mode: attr.mode,
-                        uid: attr.uid,
-                        gid: attr.gid,
-                    }) {
-                        Ok(NfsReply::Handle { fh, .. }) => fh,
-                        Ok(_) => continue,
-                        Err(err) => return Err(kosha_nfs::NfsError::Status(err)),
-                    };
-                    let mut off = 0u64;
-                    loop {
-                        let (data, eof) = self.nfs.read(src_addr, e.fh, off, self.cfg.io_chunk)?;
-                        if !data.is_empty() {
-                            self.apply(NfsRequest::Write {
-                                fh: local,
-                                offset: off,
-                                data: data.clone(),
-                            })
-                            .map_err(kosha_nfs::NfsError::Status)?;
-                            off += data.len() as u64;
-                        }
-                        if eof {
-                            break;
-                        }
-                    }
-                }
-                kosha_vfs::FileType::Symlink => {
-                    let target = self.nfs.readlink(src_addr, e.fh)?;
-                    let _ = self.apply(NfsRequest::Symlink {
-                        dir: dst,
-                        name: e.name.clone(),
-                        target,
-                        mode: attr.mode,
-                        uid: attr.uid,
-                        gid: attr.gid,
-                    });
-                }
-            }
-        }
+        self.ensure_replicas(anchor);
         Ok(())
     }
 
+    /// Asks each leaf-set member in turn for its durable replica of
+    /// `anchor` (one `ExportReplicaSlot` RPC) and promotes the first copy
+    /// returned. Returns true on success. This covers the corner the
+    /// paper's §4.4 glosses over: with few replicas, the node that
+    /// becomes numerically closest after a failure is not always one of
+    /// the replica holders.
+    fn pull_anchor_from_neighbors(&self, anchor: &str, routing: &str) -> bool {
+        let req = RpcRequest::new(
+            ServiceId::KoshaReplica,
+            &KoshaRequest::ExportReplicaSlot {
+                path: anchor.to_string(),
+            },
+        );
+        self.pastry.leaf_members().into_iter().any(|m| {
+            let reply = self.net.call(self.info.addr, m.addr, req.clone());
+            let Ok(KoshaReplyFrame(Ok(KoshaReply::Items(items)))) =
+                reply.and_then(|r| r.decode::<KoshaReplyFrame>())
+            else {
+                return false;
+            };
+            self.install_replica_slot(anchor, &items).is_ok()
+                && self.promote_anchor(anchor, routing, true).is_ok()
+        })
+    }
+
     /// Sends the anchor's subtree to `owner` (the node the key space now
-    /// assigns it to) and demotes the local copy to a replica (§4.3.1:
-    /// "the files are copied to the new node, and their copy on N becomes
-    /// one of the replicas").
+    /// assigns it to) in one `TransferAnchor` RPC and demotes the local
+    /// copy to a replica (§4.3.1: "the files are copied to the new node,
+    /// and their copy on N becomes one of the replicas").
     pub(crate) fn transfer_anchor(
         &self,
         anchor: &str,
@@ -844,24 +697,10 @@ impl KoshaNode {
             .collect();
         self.control(
             owner.addr,
-            &KoshaRequest::BeginTransfer {
-                path: anchor.to_string(),
-            },
-        )?;
-        for item in items {
-            self.control(
-                owner.addr,
-                &KoshaRequest::TransferPut {
-                    path: anchor.to_string(),
-                    item,
-                },
-            )?;
-        }
-        self.control(
-            owner.addr,
-            &KoshaRequest::CommitTransfer {
+            &KoshaRequest::TransferAnchor {
                 path: anchor.to_string(),
                 routing_name: routing.to_string(),
+                items,
             },
         )?;
         self.demote_anchor(anchor);
@@ -944,12 +783,7 @@ impl KoshaNode {
             // (what the DHT keys on), which is exactly what we need to
             // find the owner. No meta → keep; the copy may still be
             // mid-migration.
-            let meta = format!("{root}/{slot}/{ANCHOR_META}");
-            let Some(routing) = self.store.with_store(|v| {
-                let (id, attr) = v.resolve(&meta).ok()?;
-                let (data, _) = v.read(id, 0, attr.size as u32).ok()?;
-                String::from_utf8(data).ok()
-            }) else {
+            let Some(routing) = self.read_internal(&format!("{root}/{slot}/{ANCHOR_META}")) else {
                 continue;
             };
             let Ok(owner) = self.owner_of(&routing) else {
@@ -1072,14 +906,17 @@ impl KoshaNode {
                     return Err(NfsStatus::Exist);
                 }
                 let dir = self.fh_of(&sarea)?;
-                self.apply(NfsRequest::Mkdir {
+                let NfsReply::Handle { fh: root, .. } = self.apply(NfsRequest::Mkdir {
                     dir,
                     name: slot,
                     mode,
                     uid,
                     gid,
-                })?;
-                self.write_anchor_meta(&path, &routing_name)?;
+                })?
+                else {
+                    return Err(NfsStatus::Io);
+                };
+                self.write_internal(root, ANCHOR_META, routing_name.clone().into_bytes(), true)?;
                 self.anchors.lock().insert(path.clone(), routing_name);
                 self.ensure_replicas(&path);
                 Ok(KoshaReply::Done)
@@ -1274,16 +1111,16 @@ impl KoshaNode {
                     }
                     return Ok(KoshaReply::DoneBool(false));
                 }
-                let rslot_path = slot_local_path(Area::Replica, &path, &path);
-                let in_replica = self.store.with_store(|v| v.resolve(&rslot_path).is_ok());
-                if in_replica {
-                    self.promote_anchor(&path)?;
+                if self.holds_durable_replica(&path) {
+                    self.promote_anchor(&path, &routing, false)?;
                     return Ok(KoshaReply::DoneBool(true));
                 }
-                // We own the key but hold no copy (e.g. K=1 and the sole
-                // replica sits on the *other* neighbor of the failed
-                // primary). Pull the anchor from whichever leaf-set
-                // member still holds a replica, then serve it.
+                // We own the key but hold no durable copy: none at all
+                // (e.g. K=1 and the sole replica sits on the *other*
+                // neighbor of the failed primary), or only leased hot
+                // copies, which the pulled slot replaces. Pull the anchor
+                // from whichever leaf-set member still holds a durable
+                // replica, then serve it.
                 if self.pull_anchor_from_neighbors(&path, &routing) {
                     return Ok(KoshaReply::DoneBool(true));
                 }
@@ -1291,15 +1128,18 @@ impl KoshaNode {
                     // Brand-new deployment (or new root owner with no data
                     // yet): create the root anchor empty.
                     let dir = self.fh_of(&format!("/{}", Area::Store.dir_name()))?;
-                    self.apply(NfsRequest::Mkdir {
+                    let NfsReply::Handle { fh: root, .. } = self.apply(NfsRequest::Mkdir {
                         dir,
                         name: anchor_slot("/"),
                         mode: 0o755,
                         uid: 0,
                         gid: 0,
-                    })?;
+                    })?
+                    else {
+                        return Err(NfsStatus::Io);
+                    };
                     self.anchors.lock().insert("/".into(), routing.clone());
-                    self.write_anchor_meta("/", &routing)?;
+                    self.write_internal(root, ANCHOR_META, routing.into_bytes(), true)?;
                     self.ensure_replicas("/");
                     return Ok(KoshaReply::DoneBool(false));
                 }
@@ -1313,105 +1153,25 @@ impl KoshaNode {
                     free,
                 })
             }
-            KoshaRequest::BeginTransfer { path } => {
+            KoshaRequest::TransferAnchor {
+                path,
+                routing_name,
+                items,
+            } => {
                 // Merge semantics: do NOT wipe an existing copy. A
                 // recovered node may receive its own anchor back from a
                 // node that served (a possibly empty or partial) interim
                 // copy during an outage; wiping would lose every entry
-                // the interim copy never saw. Transferred items overwrite
+                // the interim copy never saw. Transferred items replace
                 // same-named entries; everything else survives.
-                let slot = anchor_slot(&path);
-                self.store
-                    .with_store(|v| {
-                        let sarea = format!("/{}", Area::Store.dir_name());
-                        let (sparent, _) = v.resolve(&sarea)?;
-                        match v.mkdir(sparent, &slot, 0o755, 0, 0) {
-                            Ok(_) | Err(kosha_vfs::VfsError::Exist) => Ok(()),
-                            Err(e) => Err(e),
-                        }
-                    })
+                let slot_path = slot_local_path(Area::Store, &path, &path);
+                let root = self
+                    .store
+                    .with_store(|v| v.mkdir_p(&slot_path, 0o755))
+                    .map(Fh::from_file_id)
                     .map_err(NfsStatus::from)?;
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::TransferPut { path, item } => {
-                if item.rel_path.is_empty() {
-                    return Ok(KoshaReply::Done);
-                }
-                let base = slot_local_path(Area::Store, &path, &path);
-                let full = format!("{base}/{}", item.rel_path);
-                let (pp, name) = parent_and_name(&full).ok_or(NfsStatus::Inval)?;
-                let name = name.to_string();
-                let dir = self.fh_of(pp)?;
-                match item.kind {
-                    MigrateKind::Dir => {
-                        match self.apply(NfsRequest::Mkdir {
-                            dir,
-                            name,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        }) {
-                            Ok(_) | Err(NfsStatus::Exist) => {} // merge
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    MigrateKind::Bytes(data) => {
-                        let _ = self.apply(NfsRequest::RemoveTree {
-                            dir,
-                            name: name.clone(),
-                        });
-                        let _ = self.apply(NfsRequest::Remove {
-                            dir,
-                            name: name.clone(),
-                        });
-                        let reply = self.apply(NfsRequest::Create {
-                            dir,
-                            name,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        })?;
-                        if let NfsReply::Handle { fh, .. } = reply {
-                            self.apply(NfsRequest::Write {
-                                fh,
-                                offset: 0,
-                                data,
-                            })?;
-                        }
-                    }
-                    MigrateKind::Sparse(n) => {
-                        let _ = self.apply(NfsRequest::Remove {
-                            dir,
-                            name: name.clone(),
-                        });
-                        self.apply(NfsRequest::CreateSized {
-                            dir,
-                            name,
-                            size: n,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        })?;
-                    }
-                    MigrateKind::Symlink { target } => {
-                        let _ = self.apply(NfsRequest::Remove {
-                            dir,
-                            name: name.clone(),
-                        });
-                        self.apply(NfsRequest::Symlink {
-                            dir,
-                            name,
-                            target,
-                            mode: item.mode,
-                            uid: item.uid,
-                            gid: item.gid,
-                        })?;
-                    }
-                }
-                Ok(KoshaReply::Done)
-            }
-            KoshaRequest::CommitTransfer { path, routing_name } => {
-                self.write_anchor_meta(&path, &routing_name)?;
+                install_items(&self.store, root, &items)?;
+                self.write_internal(root, ANCHOR_META, routing_name.clone().into_bytes(), false)?;
                 self.anchors.lock().insert(path.clone(), routing_name);
                 self.stats.migrations_in.inc();
                 self.journal(
@@ -1440,6 +1200,7 @@ impl KoshaNode {
             // Replica maintenance is served on its own leaf service
             // (`ServiceId::KoshaReplica`), not the control service.
             KoshaRequest::MigrateBatch { .. }
+            | KoshaRequest::ExportReplicaSlot { .. }
             | KoshaRequest::ReplicaApply { .. }
             | KoshaRequest::ReplicaApplyBatch { .. }
             | KoshaRequest::HotReplicaPush { .. }
@@ -1515,13 +1276,108 @@ fn absorb(r: Result<NfsReply, NfsStatus>, benign: NfsStatus) -> Result<(), NfsSt
     }
 }
 
-fn default_routing(anchor: &str) -> String {
-    if anchor == "/" {
-        "/".to_string()
-    } else {
-        parent_and_name(anchor)
-            .map(|(_, n)| n.to_string())
-            .unwrap_or_else(|| "/".to_string())
+/// Installs exported `items` (parent before child, `""` = the root
+/// itself, which is skipped) below the directory `root`. Each item is
+/// created; a name that already exists is merged into when both are
+/// directories and replaced otherwise. On a freshly made `root` this is
+/// exactly one create (plus one write per file body) per item. Items
+/// whose parent was not installed are skipped.
+fn install_items(store: &NfsServer, root: Fh, items: &[MigrateItem]) -> Result<(), NfsStatus> {
+    let mut dirs: HashMap<&str, Fh> = HashMap::new();
+    dirs.insert("", root);
+    for item in items.iter().filter(|i| !i.rel_path.is_empty()) {
+        let (prel, name) = item
+            .rel_path
+            .rsplit_once('/')
+            .unwrap_or(("", &item.rel_path));
+        let Some(&dir) = dirs.get(prel) else {
+            continue;
+        };
+        let fh = match install_item(store, dir, name, item) {
+            Err(NfsStatus::Exist) => {
+                let NfsReply::Handle { fh, attr } = store.apply(NfsRequest::Lookup {
+                    dir,
+                    name: name.to_string(),
+                })?
+                else {
+                    return Err(NfsStatus::Io);
+                };
+                let is_dir = attr.0.ftype == kosha_vfs::FileType::Directory;
+                if is_dir && item.kind == MigrateKind::Dir {
+                    fh
+                } else {
+                    let old = name.to_string();
+                    store.apply(if is_dir {
+                        NfsRequest::RemoveTree { dir, name: old }
+                    } else {
+                        NfsRequest::Remove { dir, name: old }
+                    })?;
+                    install_item(store, dir, name, item)?
+                }
+            }
+            r => r?,
+        };
+        if item.kind == MigrateKind::Dir {
+            dirs.insert(&item.rel_path, fh);
+        }
+    }
+    Ok(())
+}
+
+/// Creates one exported object as `name` in `dir`; returns its handle.
+fn install_item(
+    store: &NfsServer,
+    dir: Fh,
+    name: &str,
+    item: &MigrateItem,
+) -> Result<Fh, NfsStatus> {
+    let name = name.to_string();
+    let (mode, uid, gid) = (item.mode, item.uid, item.gid);
+    let reply = match &item.kind {
+        MigrateKind::Dir => store.apply(NfsRequest::Mkdir {
+            dir,
+            name,
+            mode,
+            uid,
+            gid,
+        })?,
+        MigrateKind::Bytes(data) => {
+            let reply = store.apply(NfsRequest::Create {
+                dir,
+                name,
+                mode,
+                uid,
+                gid,
+            })?;
+            if let NfsReply::Handle { fh, .. } = reply {
+                store.apply(NfsRequest::Write {
+                    fh,
+                    offset: 0,
+                    data: data.clone(),
+                })?;
+            }
+            reply
+        }
+        MigrateKind::Sparse(size) => store.apply(NfsRequest::CreateSized {
+            dir,
+            name,
+            size: *size,
+            mode,
+            uid,
+            gid,
+        })?,
+        MigrateKind::Symlink { target } => store.apply(NfsRequest::Symlink {
+            dir,
+            name,
+            target: target.clone(),
+            mode,
+            uid,
+            gid,
+        })?,
+    };
+    match reply {
+        NfsReply::Handle { fh, .. } => Ok(fh),
+        _ => Err(NfsStatus::Io),
     }
 }
 
@@ -1555,5 +1411,89 @@ impl RpcHandler for ReplicaService {
             || k.handle_replica(req),
         );
         Ok(RpcResponse::new(&KoshaReplyFrame(result)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::audit::tree_digest;
+    use kosha_nfs::DiskModel;
+    use kosha_rpc::VirtualClock;
+    use kosha_vfs::{ExportItem, Vfs};
+    use std::sync::Arc;
+
+    /// The sender's anchor: a directory, a file with bytes, a symlink,
+    /// a sparse file and a top-level file.
+    fn sender() -> Vec<ExportItem> {
+        let mut v = Vfs::new(1 << 20);
+        let sub = v.mkdir_p("/src/sub", 0o750).unwrap();
+        let (f, _) = v.create(sub, "data.bin", 0o640, 3, 4).unwrap();
+        v.write(f, 0, b"payload").unwrap();
+        v.symlink(sub, "link", "data.bin", 0o777, 3, 4).unwrap();
+        let (src, _) = v.resolve("/src").unwrap();
+        v.create_sized(src, "sparse", 1 << 12, 0o600, 3, 4).unwrap();
+        let (n, _) = v.create(src, "note", 0o644, 0, 0).unwrap();
+        v.write(n, 0, b"n").unwrap();
+        v.export_tree("/src").unwrap()
+    }
+
+    /// A receiver whose `/dst` already holds every sender name with other
+    /// content or another type, plus `extra` entries only it has.
+    fn receiver(extra: bool) -> (Arc<NfsServer>, Fh) {
+        let s = NfsServer::new(Vfs::new(1 << 20), VirtualClock::new(), DiskModel::zero());
+        let root = s.with_store(|v| {
+            let sub = v.mkdir_p("/dst/sub", 0o700).unwrap();
+            let (f, _) = v.create(sub, "data.bin", 0o600, 0, 0).unwrap();
+            v.write(f, 0, b"stale bytes").unwrap();
+            v.create(sub, "link", 0o600, 0, 0).unwrap();
+            let note = v.mkdir_p("/dst/note", 0o700).unwrap();
+            v.create(note, "inner", 0o600, 0, 0).unwrap();
+            let (root, _) = v.resolve("/dst").unwrap();
+            v.symlink(root, "sparse", "elsewhere", 0o777, 0, 0).unwrap();
+            if extra {
+                v.create(root, "only_here", 0o600, 0, 0).unwrap();
+                v.create(sub, "local", 0o600, 0, 0).unwrap();
+            }
+            root
+        });
+        (s, Fh::from_file_id(root))
+    }
+
+    fn items(exported: &[ExportItem]) -> Vec<MigrateItem> {
+        exported.iter().cloned().map(MigrateItem::from).collect()
+    }
+
+    #[test]
+    fn replace_install_reproduces_the_sender_digest() {
+        let exported = sender();
+        let (s, root) = receiver(false);
+        install_items(&s, root, &items(&exported)).unwrap();
+        let installed = s.with_store(|v| v.export_tree("/dst")).unwrap();
+        assert_eq!(tree_digest(&installed), tree_digest(&exported));
+
+        // On an empty root the same items install one-for-one too.
+        let fresh = NfsServer::new(Vfs::new(1 << 20), VirtualClock::new(), DiskModel::zero());
+        let root = fresh.with_store(|v| v.mkdir_p("/dst", 0o700)).unwrap();
+        install_items(&fresh, Fh::from_file_id(root), &items(&exported)).unwrap();
+        let installed = fresh.with_store(|v| v.export_tree("/dst")).unwrap();
+        assert_eq!(tree_digest(&installed), tree_digest(&exported));
+    }
+
+    #[test]
+    fn merge_install_keeps_receiver_only_entries() {
+        let exported = sender();
+        let (s, root) = receiver(true);
+        install_items(&s, root, &items(&exported)).unwrap();
+        let installed = s.with_store(|v| v.export_tree("/dst")).unwrap();
+        let paths: Vec<&str> = installed.iter().map(|i| i.rel_path.as_str()).collect();
+        assert!(paths.contains(&"only_here"), "{paths:?}");
+        assert!(paths.contains(&"sub/local"), "{paths:?}");
+        // Everything else is exactly the sender's tree.
+        let shared: Vec<ExportItem> = installed
+            .into_iter()
+            .filter(|i| i.rel_path != "only_here" && i.rel_path != "sub/local")
+            .collect();
+        assert_eq!(tree_digest(&shared), tree_digest(&exported));
     }
 }

@@ -422,7 +422,20 @@ fn migration_follows_key_space_on_join() {
         m.mkdir_p(&format!("/mig{i}")).unwrap();
         m.write_file(&format!("/mig{i}/payload"), &[i as u8; 256])
             .unwrap();
+        // Anchors of different sizes: a migration's control cost must
+        // not depend on how many objects it carries.
+        for j in 0..i {
+            m.write_file(&format!("/mig{i}/extra{j}"), b"x").unwrap();
+        }
     }
+    let control_calls = || {
+        c.net
+            .obs()
+            .registry
+            .counter("rpc_calls_total{service=\"kosha\"}")
+            .get()
+    };
+    let calls_before = control_calls();
     // Add five more nodes: anchors whose keys now map to the newcomers
     // must move (§4.3.1: "a new node always has the files for which it
     // is the primary node").
@@ -441,6 +454,10 @@ fn migration_follows_key_space_on_join() {
     }
     // Every anchor is hosted by the node its key routes to.
     let all: Vec<&Arc<KoshaNode>> = c.nodes.iter().chain(new_nodes.iter()).collect();
+    // Each migration is one control RPC carrying the whole anchor.
+    let migrations: u64 = all.iter().map(|n| n.stats().migrations_out.get()).sum();
+    assert!(migrations > 0, "no anchor moved to a newcomer");
+    assert_eq!(control_calls() - calls_before, migrations);
     for node in &all {
         for (path, routing) in node.hosted_anchors() {
             let owner = node
@@ -984,4 +1001,78 @@ fn audit_counts_hot_copies_without_flagging_them() {
         "leased hot copies must not read as orphans"
     );
     assert_eq!(report.objects_divergent, 0, "hot slots must not diverge");
+}
+
+#[test]
+fn hot_only_slot_never_becomes_the_primary_copy() {
+    // A `.kosha_hot` slot holds only the leased hot objects, so a new
+    // owner that finds one must pull a durable copy instead of promoting
+    // it; otherwise every object that was never hot vanishes.
+    let mut hot_owner_failovers = 0;
+    for i in 0..40 {
+        let c = build_cluster(6, hot_cfg());
+        let m = mount(&c, 0);
+        let dir = format!("/hs{i}");
+        m.mkdir_p(&dir).unwrap();
+        m.write_file(&format!("{dir}/hot"), b"read all the time")
+            .unwrap();
+        m.write_file(&format!("{dir}/cold"), b"never read").unwrap();
+        for _ in 0..24 {
+            m.read_file(&format!("{dir}/hot")).unwrap();
+        }
+        let aslot = kosha::paths::anchor_slot(&dir);
+        let slot = format!("/kosha_replica/{aslot}");
+        let hot_holders: Vec<NodeAddr> = c
+            .nodes
+            .iter()
+            .filter(|n| n.with_store(|v| v.resolve(&format!("{slot}/.kosha_hot")).is_ok()))
+            .map(|n| n.addr())
+            .collect();
+        let primary = c
+            .nodes
+            .iter()
+            .find(|n| n.hosted_anchors().iter().any(|(p, _)| *p == dir))
+            .unwrap()
+            .addr();
+        if hot_holders.is_empty() || primary == c.nodes[0].addr() {
+            continue;
+        }
+        c.net.fail_node(primary);
+        assert_eq!(
+            m.read_file(&format!("{dir}/cold")).unwrap(),
+            b"never read",
+            "{dir}: the object that was never hot was lost on failover"
+        );
+        assert_eq!(
+            m.read_file(&format!("{dir}/hot")).unwrap(),
+            b"read all the time"
+        );
+        let live: Vec<&Arc<KoshaNode>> = c.nodes.iter().filter(|n| n.addr() != primary).collect();
+        let owner = live
+            .iter()
+            .find(|n| n.hosted_anchors().iter().any(|(p, _)| *p == dir))
+            .unwrap()
+            .addr();
+        if hot_holders.contains(&owner) {
+            hot_owner_failovers += 1;
+        }
+        for n in &live {
+            n.maintain();
+        }
+        let holders = live
+            .iter()
+            .filter(|n| {
+                let mut found = false;
+                n.with_store(|v| {
+                    v.walk(|p, _| found |= p.ends_with(&format!("{aslot}/cold")));
+                });
+                found
+            })
+            .count();
+        assert!(holders > 0, "{dir}: no live node holds the cold file");
+    }
+    assert!(
+        hot_owner_failovers > 0,
+        "no placement made a hot holder the new owner; the test proves nothing"
+    );
 }

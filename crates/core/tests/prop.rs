@@ -110,11 +110,17 @@ fn arb_request() -> impl Strategy<Value = KoshaRequest> {
             .prop_map(|(path, routing)| KoshaRequest::EnsureAnchor { path, routing }),
         Just(KoshaRequest::StoreStats),
         Just(KoshaRequest::ListAnchors),
-        arb_path().prop_map(|path| KoshaRequest::BeginTransfer { path }),
-        (arb_path(), arb_item()).prop_map(|(path, item)| KoshaRequest::TransferPut { path, item }),
-        (arb_path(), "[a-z#0-9]{1,16}").prop_map(|(path, routing_name)| {
-            KoshaRequest::CommitTransfer { path, routing_name }
-        }),
+        (
+            arb_path(),
+            "[a-z#0-9]{1,16}",
+            proptest::collection::vec(arb_item(), 0..4)
+        )
+            .prop_map(|(path, routing_name, items)| KoshaRequest::TransferAnchor {
+                path,
+                routing_name,
+                items
+            }),
+        arb_path().prop_map(|path| KoshaRequest::ExportReplicaSlot { path }),
         arb_path().prop_map(|path| KoshaRequest::ReplicaTargets { path }),
     ]
 }
@@ -135,6 +141,7 @@ proptest! {
             .prop_map(|v| KoshaReply::Anchors(v.into_iter().collect())),
         proptest::collection::vec(any::<u64>(), 0..8)
             .prop_map(|v| KoshaReply::Nodes(v.into_iter().map(NodeAddr).collect())),
+        proptest::collection::vec(arb_item(), 0..4).prop_map(KoshaReply::Items),
     ]) {
         let frame = KoshaReplyFrame(Ok(reply));
         let bytes = frame.encode();
